@@ -1,0 +1,8 @@
+"""Make the benchmark's flat modules and the repro package importable
+for ``python -m pytest bench``."""
+
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parent
+sys.path[:0] = [str(BENCH), str(BENCH.parent / "src")]
