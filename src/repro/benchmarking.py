@@ -172,7 +172,6 @@ def grid_history_record(payload: dict) -> dict:
         "scale": grid["scale"],
         "machine_ops_per_s": payload["machine_ops_per_s"],
         "normalized_replay": grid["normalized_replay"],
-        "normalized_batch": grid["normalized_batch"],
         "store_speedup": grid.get("store_speedup"),
         "identical": grid["identical"],
     }
@@ -186,10 +185,9 @@ def check_grid_history(
 ) -> List[str]:
     """Gate grid rates against the rolling median of the grid history.
 
-    Mirrors :func:`check_history` for the per-sample engines: per rate
-    (replay and batch), the floor is ``median(last window grid records)
-    * (1 - tolerance)``. Records from before a rate existed simply
-    don't contribute to its median; an empty history passes trivially.
+    Mirrors :func:`check_history` for the replay engine: the floor is
+    ``median(last window grid records) * (1 - tolerance)``. An empty
+    history passes trivially.
     Only records at the payload's scale participate — normalized rates
     are not comparable across grid scales (records predating the scale
     stamp are treated as default-scale).
@@ -201,26 +199,22 @@ def check_grid_history(
         if r.get("kind") == "grid" and r.get("scale", "default") == scale
     ]
     records = records[-window:]
-    grid = payload["grid"]
-    failures = []
-    for key, label in (
-        ("normalized_replay", "replay"),
-        ("normalized_batch", "batch"),
-    ):
-        values = [
-            r[key] for r in records if isinstance(r.get(key), (int, float))
-        ]
-        if not values:
-            continue
-        median = statistics.median(values)
-        floor = median * (1.0 - tolerance)
-        if grid[key] < floor:
-            failures.append(
-                f"grid {label}: normalized rate {grid[key]:.3e} is below "
-                f"{floor:.3e} (rolling median of {len(values)} record(s) "
-                f"{median:.3e} - {tolerance:.0%})"
-            )
-    return failures
+    rate = payload["grid"]["normalized_replay"]
+    values = [
+        r["normalized_replay"] for r in records
+        if isinstance(r.get("normalized_replay"), (int, float))
+    ]
+    if not values:
+        return []
+    median = statistics.median(values)
+    floor = median * (1.0 - tolerance)
+    if rate >= floor:
+        return []
+    return [
+        f"grid replay: normalized rate {rate:.3e} is below {floor:.3e} "
+        f"(rolling median of {len(values)} record(s) {median:.3e} - "
+        f"{tolerance:.0%})"
+    ]
 
 
 def append_history(record: dict, path: Optional[Path] = None) -> Path:
@@ -337,18 +331,18 @@ def _grid_sample_tuples(results) -> List[tuple]:
 
 
 def run_grid_bench(reps: int = 3, scale: str = "default") -> dict:
-    """Time the Figure-10 grid: interpreter vs replay vs batch engines,
-    then the content-addressed store cold vs warm.
+    """Time the Figure-10 grid: interpreter vs replay engine, then the
+    content-addressed store cold vs warm.
 
     All passes run the identical serial grid (``REPRO_JOBS``,
-    ``REPRO_REPLAY``, ``REPRO_BATCH`` and ``REPRO_STORE`` are controlled
-    here, overriding the environment). Recording is timed as its own
-    phase: ``record_s`` is a cold rebuild of every config's commit log,
-    while the replay and batch passes then run against *warm* records —
-    one record pass serves the whole grid regardless of engine, and the
-    engine passes never re-record (regression-tested in
-    ``tests/test_store.py``). The store phases both use the batch
-    engine: ``store_cold_s`` computes the grid into an empty store
+    ``REPRO_REPLAY`` and ``REPRO_STORE`` are controlled here, overriding
+    the environment). Recording is timed as its own phase: ``record_s``
+    is a cold rebuild of every config's commit log, while the replay
+    passes then run against *warm* records — one record pass serves the
+    whole grid, and the replay passes never re-record
+    (regression-tested in ``tests/test_store.py``). The store phases
+    both use the replay engine: ``store_cold_s`` computes the grid into
+    an empty store
     (wiped every rep), ``store_warm_s`` reruns it as pure cache hits;
     their ratio is ``store_speedup``. Sample results from every pass
     are compared field by field; ``identical`` reports the outcome
@@ -394,7 +388,7 @@ def run_grid_bench(reps: int = 3, scale: str = "default") -> dict:
 
     saved = {
         key: os.environ.pop(key, None)
-        for key in ("REPRO_REPLAY", "REPRO_JOBS", "REPRO_BATCH", STORE_ENV)
+        for key in ("REPRO_REPLAY", "REPRO_JOBS", STORE_ENV)
     }
     try:
         one_pass()  # warm the shared workload/kernel/trace caches
@@ -418,15 +412,7 @@ def run_grid_bench(reps: int = 3, scale: str = "default") -> dict:
             replay_results = one_pass()
             replay_times.append(time.perf_counter() - start)
 
-        del os.environ["REPRO_REPLAY"]
-        os.environ["REPRO_BATCH"] = "1"
-        batch_times: List[float] = []
-        for _ in range(reps):
-            start = time.perf_counter()
-            batch_results = one_pass()
-            batch_times.append(time.perf_counter() - start)
-
-        # Store phases, both on the batch engine (still REPRO_BATCH=1):
+        # Store phases, both on the replay engine (still REPRO_REPLAY=1):
         # cold evaluates the grid into an empty store, warm serves it
         # back as pure hits. The last cold rep leaves the store full.
         store_dir = tempfile.mkdtemp(prefix="repro-grid-store-")
@@ -444,13 +430,15 @@ def run_grid_bench(reps: int = 3, scale: str = "default") -> dict:
                 store_warm_results = one_pass()
                 store_warm_times.append(time.perf_counter() - start)
         finally:
+            del os.environ[STORE_ENV]
             shutil.rmtree(store_dir, ignore_errors=True)
 
         # NN-inference cross-check: the same three-config grid on the
         # MLP classifier under the progress runtime, one untimed pass
-        # per engine. Gated on bit-identity (full SampleRun equality,
-        # accuracy field included); excluded from the timing history.
-        os.environ.pop("REPRO_BATCH", None)
+        # per engine, with the store off so each engine computes.
+        # Gated on bit-identity (full SampleRun equality, accuracy field
+        # included); excluded from the timing history.
+        del os.environ["REPRO_REPLAY"]
         nn_workload = make_workload(NN_GRID_WORKLOAD, scale)
         nn_environment = calibrate_environment(
             measure_precise_cycles(nn_workload), setup
@@ -471,9 +459,6 @@ def run_grid_bench(reps: int = 3, scale: str = "default") -> dict:
         nn_interp = nn_pass()
         os.environ["REPRO_REPLAY"] = "1"
         nn_replay = nn_pass()
-        del os.environ["REPRO_REPLAY"]
-        os.environ["REPRO_BATCH"] = "1"
-        nn_batch = nn_pass()
     finally:
         for key, value in saved.items():
             if value is None:
@@ -482,28 +467,23 @@ def run_grid_bench(reps: int = 3, scale: str = "default") -> dict:
                 os.environ[key] = value
 
     nn_runs = [run for result in nn_interp for run in result.runs]
-    nn_identical = (
-        nn_runs == [run for result in nn_replay for run in result.runs]
-        and nn_runs == [run for result in nn_batch for run in result.runs]
-    )
+    nn_identical = nn_runs == [run for result in nn_replay for run in result.runs]
     nn_accuracy = next(
         (r.median_accuracy for r in nn_interp if r.bits == 8), None
     )
     interp_tuples = _grid_sample_tuples(interp_results)
     identical = (
         interp_tuples == _grid_sample_tuples(replay_results)
-        and interp_tuples == _grid_sample_tuples(batch_results)
         and interp_tuples == _grid_sample_tuples(store_cold_results)
         and interp_tuples == _grid_sample_tuples(store_warm_results)
     )
     interp_s = statistics.median(interp_times)
     record_s = statistics.median(record_times)
     replay_s = statistics.median(replay_times)
-    batch_s = statistics.median(batch_times)
     store_cold_s = statistics.median(store_cold_times)
     store_warm_s = statistics.median(store_warm_times)
     return {
-        "schema": 3,
+        "schema": 4,
         "machine_ops_per_s": round(score, 1),
         "reps": reps,
         "grid": {
@@ -516,18 +496,14 @@ def run_grid_bench(reps: int = 3, scale: str = "default") -> dict:
             "interp_s": round(interp_s, 4),
             "record_s": round(record_s, 4),
             "replay_s": round(replay_s, 4),
-            "batch_s": round(batch_s, 4),
             "speedup": round(interp_s / replay_s, 3),
-            "batch_speedup": round(interp_s / batch_s, 3),
             "interp_samples_per_s": round(samples / interp_s, 2),
             "replay_samples_per_s": round(samples / replay_s, 2),
-            "batch_samples_per_s": round(samples / batch_s, 2),
             "store_cold_s": round(store_cold_s, 4),
             "store_warm_s": round(store_warm_s, 4),
             "store_speedup": round(store_cold_s / store_warm_s, 3),
             # Machine-independent: samples/s per machine-loop op/s.
             "normalized_replay": round(samples / replay_s / score, 9),
-            "normalized_batch": round(samples / batch_s / score, 9),
         },
         "nn": {
             "workload": NN_GRID_WORKLOAD,
@@ -575,16 +551,12 @@ def format_grid_bench(payload: dict) -> str:
         f"{grid['workload']} fig10 grid on {grid['runtime']} "
         f"({grid['samples']} samples, scale={grid['scale']}, "
         f"median of {payload['reps']} reps): {verdict}",
-        f"  record  {grid['record_s']:.2f}s cold "
-        f"(shared by replay + batch)",
+        f"  record  {grid['record_s']:.2f}s cold (shared by the replay passes)",
         f"  interp  {grid['interp_s']:.2f}s "
         f"({grid['interp_samples_per_s']:.0f} samples/s)",
         f"  replay  {grid['replay_s']:.2f}s "
         f"({grid['replay_samples_per_s']:.0f} samples/s, "
         f"{grid['speedup']:.2f}x, normalized {grid['normalized_replay']:.2e})",
-        f"  batch   {grid['batch_s']:.2f}s "
-        f"({grid['batch_samples_per_s']:.0f} samples/s, "
-        f"{grid['batch_speedup']:.2f}x, normalized {grid['normalized_batch']:.2e})",
     ]
     if grid.get("store_speedup") is not None:
         lines.append(

@@ -53,6 +53,10 @@ VECTOR_OPS = frozenset({"+", "-", "&", "|", "^"})
 LOGICAL_OPS = frozenset({"&", "|", "^"})
 
 
+#: Subword widths SWV packs (a 32-bit word holds 4- or 8-bit lanes).
+SWV_WIDTHS = (4, 8)
+
+
 class SwvError(ValueError):
     """Raised when the kernel has no SWV candidate or an unsupported shape."""
 
@@ -71,7 +75,7 @@ def apply_swv(kernel: Kernel, bits: Optional[int] = None) -> Kernel:
     if len(widths) != 1:
         raise SwvError(f"conflicting subword widths {sorted(widths)}")
     width = widths.pop()
-    if width not in (4, 8):
+    if width not in SWV_WIDTHS:
         raise SwvError(f"SWV supports 4- and 8-bit subwords, not {width}")
 
     element_bits = {a.element_bits for a in targets.values()}

@@ -12,14 +12,21 @@ livelock).
 The paper invokes each application 3 times on 9 voltage traces and
 reports medians; :func:`run_benchmark` mirrors that.
 
+Engines: samples run on the interpreter
+(:meth:`~repro.core.anytime.AnytimeKernel.run_intermittent`) by default.
+``REPRO_REPLAY=1`` records each (workload, scale, mode, bits)
+configuration once and replays all its samples as lanes of one
+commit-log walk (:mod:`repro.runtime.batch_executor`); lanes the replay
+engine cannot reproduce exactly run on the interpreter instead. Both
+engines produce identical samples.
+
 Parallelism: the trace x invocation grid is embarrassingly parallel and
 every sample is deterministic given (workload name, scale, mode, bits,
 runtime, environment, trace index, invocation). Setting ``REPRO_JOBS=N``
 (N > 1) fans the grid over N worker processes via
-:class:`concurrent.futures.ProcessPoolExecutor`; results are merged in
-grid order, so the output is identical to the serial run. With
-``REPRO_JOBS`` unset (or 1) the original in-process loop runs —
-bit-identical to the pre-parallel harness.
+:class:`concurrent.futures.ProcessPoolExecutor` — one sample per task on
+the interpreter, one configuration per task under replay; results are
+merged in grid order, so the output is identical to the serial run.
 
 Caching: with ``REPRO_STORE=<dir>`` every finished configuration is
 persisted to (and served from) the global content-addressed result
@@ -33,6 +40,7 @@ caches self-invalidate. ``REPRO_FAULTS`` disables the store by design.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 import statistics
@@ -54,8 +62,7 @@ from ..power.energy import EnergyModel
 from ..power.harvester import paper_traces
 from ..power.trace import PowerTrace
 from ..runtime.executor import set_sample_deadline
-from ..runtime.replay_executor import replay_intermittent
-from ..sim.replay import ReplayDiverged, ReplayRecord, record_run
+from ..sim.replay import ReplayRecord, record_run
 from ..store.cas import (
     STORE_ENV,
     ResultStore,
@@ -255,20 +262,11 @@ def experiment_jobs() -> int:
 
 
 def experiment_replay() -> bool:
-    """True when ``REPRO_REPLAY=1``: use the record-once/replay-per-trace
-    engine for grid samples, falling back to the interpreter per sample
-    whenever a configuration is not exactly replayable."""
+    """True when ``REPRO_REPLAY=1``: the replay engine runs each
+    configuration's whole trace x invocation grid as lanes of one
+    commit-log walk (:mod:`repro.runtime.batch_executor`), sending any
+    lane it cannot reproduce exactly to the interpreter."""
     return os.environ.get("REPRO_REPLAY", "").strip() == "1"
-
-
-def experiment_batch() -> bool:
-    """True when ``REPRO_BATCH=1``: run each configuration's whole
-    trace x invocation grid as one lane-parallel batch over its commit
-    log (:mod:`repro.runtime.batch_executor`), demoting individual
-    samples to the per-sample replay/interpreter paths whenever the
-    batch cannot reproduce them exactly. Implies the replay engine for
-    demoted samples even when ``REPRO_REPLAY`` is unset."""
-    return os.environ.get("REPRO_BATCH", "").strip() == "1"
 
 
 #: Warn-once latches for the robustness knobs, mirroring
@@ -282,9 +280,10 @@ def experiment_sample_timeout() -> Optional[float]:
     """Per-sample wall-clock budget in seconds from
     ``REPRO_SAMPLE_TIMEOUT`` (``None`` = no timeout).
 
-    The budget is enforced *cooperatively*: :func:`_run_sample` arms the
+    The budget is enforced *cooperatively*: the harness arms the
     executor deadline (:func:`~repro.runtime.executor.set_sample_deadline`)
-    so a pathological sample raises a typed
+    around each sample on either engine, so a pathological sample
+    raises a typed
     :class:`~repro.errors.SampleTimeout` inside its own process instead
     of hanging a ``REPRO_JOBS`` worker forever."""
     global _timeout_warning_emitted
@@ -467,26 +466,42 @@ def _sample_ledger(run, energy: EnergyModel) -> dict:
     return run.result.ledger.bucket_dict(energy.energy_per_cycle)
 
 
-def _run_sample(spec: SampleSpec) -> SampleRun:
-    """Execute one (trace, invocation) sample; runs in a worker process.
-
-    Arms the cooperative per-sample wall-clock deadline when
-    ``REPRO_SAMPLE_TIMEOUT`` is set, so a pathological sample raises a
-    typed :class:`~repro.errors.SampleTimeout` instead of hanging its
-    worker."""
+def _deadlined(work, arg):
+    """``work(arg)`` under the cooperative ``REPRO_SAMPLE_TIMEOUT``
+    deadline (:func:`~repro.runtime.executor.set_sample_deadline`), so
+    a pathological sample raises a typed
+    :class:`~repro.errors.SampleTimeout` inside its own process instead
+    of hanging its worker."""
     timeout = experiment_sample_timeout()
     if timeout is None:
-        return _execute_sample(spec)
+        return work(arg)
     set_sample_deadline(time.monotonic() + timeout)
     try:
-        return _execute_sample(spec)
+        return work(arg)
     finally:
         set_sample_deadline(None)
 
 
-def _execute_sample(spec: SampleSpec) -> SampleRun:
-    """The sample body: rebuild the workload/kernel/trace from the spec
-    (cached per process) and run it intermittently."""
+def _run_sample(spec: SampleSpec) -> SampleRun:
+    """Execute one (trace, invocation) sample on the interpreter; runs
+    in a worker process under ``REPRO_JOBS``."""
+    return _deadlined(_execute_sample, spec)
+
+
+def _run_samples(specs: List[SampleSpec]) -> List[SampleRun]:
+    """The interpreter's unit of pooled work, in the replay path's shape."""
+    return [_run_sample(spec) for spec in specs]
+
+
+def _kernel_key(spec: SampleSpec) -> Tuple[str, str, str, Optional[int]]:
+    return (spec.workload_name, spec.scale, spec.mode, spec.bits)
+
+
+def _sample_inputs(spec: SampleSpec):
+    """``(workload, reference, kernel, trace)`` for one spec.
+
+    Rebuilt from the spec through the per-process caches; the trace is
+    the spec's ``REPRO_FAULTS`` replacement when faults are armed."""
     from ..workloads import make_workload
 
     wkey = (spec.workload_name, spec.scale)
@@ -496,10 +511,9 @@ def _execute_sample(spec: SampleSpec) -> SampleRun:
     workload, default_reference = _worker_workloads[wkey]
     reference = spec.reference if spec.reference is not None else default_reference
 
-    kkey = (spec.workload_name, spec.scale, spec.mode, spec.bits)
+    kkey = _kernel_key(spec)
     if kkey not in _worker_kernels:
         _worker_kernels[kkey] = build_anytime(workload, spec.mode, spec.bits)
-    kernel = _worker_kernels[kkey]
 
     tkey = (spec.trace_count, spec.trace_duration_ms, spec.trace_seed)
     if tkey not in _worker_traces:
@@ -512,92 +526,80 @@ def _execute_sample(spec: SampleSpec) -> SampleRun:
     faults_seed = experiment_faults()
     if faults_seed is not None:
         trace = _fault_trace(faults_seed, spec)
+    return workload, reference, _worker_kernels[kkey], trace
 
+
+def _energy_model(runtime: str) -> EnergyModel:
+    return EnergyModel(
+        backup_overhead=NVP_BACKUP_OVERHEAD if runtime == "nvp" else 0.0
+    )
+
+
+def _run_args(spec: SampleSpec, trace: PowerTrace, energy: EnergyModel) -> dict:
+    """Keyword arguments of one sample's intermittent run, shared by
+    ``AnytimeKernel.run_intermittent`` and the replay lanes. Built fresh
+    per run: the supply charges the capacitor in place."""
+    return dict(
+        trace=trace,
+        runtime=spec.runtime,
+        capacitor=Capacitor(
+            capacitance_f=spec.capacitor_f, v_initial=3.0, v_max=3.3
+        ),
+        energy_model=energy,
+        start_tick=spec.invocation * 313,
+        max_wall_ms=spec.max_wall_ms,
+        watchdog_cycles=(
+            spec.watchdog_cycles if spec.runtime in ("clank", "progress") else None
+        ),
+    )
+
+
+def _emit_sample_start(spec: SampleSpec) -> None:
+    TRACER.emit(
+        "sample_start", workload=spec.workload_name, scale=spec.scale,
+        mode=spec.mode, bits=spec.bits, runtime=spec.runtime,
+        trace=spec.trace_index, invocation=spec.invocation,
+    )
+
+
+def _execute_sample(spec: SampleSpec) -> SampleRun:
+    """The interpreter path: rebuild the workload/kernel/trace from the
+    spec (cached per process) and run it intermittently."""
+    workload, reference, kernel, trace = _sample_inputs(spec)
     if TRACER.enabled:
-        TRACER.emit(
-            "sample_start", workload=spec.workload_name, scale=spec.scale,
-            mode=spec.mode, bits=spec.bits, runtime=spec.runtime,
-            trace=spec.trace_index, invocation=spec.invocation,
-        )
-    energy = EnergyModel(
-        backup_overhead=NVP_BACKUP_OVERHEAD if spec.runtime == "nvp" else 0.0
+        _emit_sample_start(spec)
+    energy = _energy_model(spec.runtime)
+    run = kernel.run_intermittent(
+        workload.inputs, **_run_args(spec, trace, energy)
     )
-    run = None
-    engine = "interp"
-    fallback = False
-    if experiment_replay() or experiment_batch():
-        record = _worker_records.get(kkey)
-        if record is None:
-            record = record_run(kernel, workload.inputs)
-            _worker_records[kkey] = record
-            if TRACER.enabled:
-                TRACER.emit(
-                    "record_run", workload=spec.workload_name,
-                    mode=spec.mode, bits=spec.bits,
-                    replayable=record.replayable,
-                    reason=record.reason or None, length=record.length,
-                )
-            if PROFILER.enabled and record.replayable:
-                # One folded profile per configuration (the replayed
-                # samples all consume this same recorded stream).
-                PROFILER.collect_record(
-                    record,
-                    kernel.compiled.program,
-                    f"{kernel.compiled.program.name}/{spec.runtime}",
-                )
-        if record.replayable:
-            try:
-                run = replay_intermittent(
-                    kernel,
-                    record,
-                    workload.inputs,
-                    trace,
-                    runtime=spec.runtime,
-                    capacitor=Capacitor(
-                        capacitance_f=spec.capacitor_f, v_initial=3.0, v_max=3.3
-                    ),
-                    energy_model=energy,
-                    start_tick=spec.invocation * 313,
-                    max_wall_ms=spec.max_wall_ms,
-                    watchdog_cycles=(
-                        spec.watchdog_cycles
-                        if spec.runtime in ("clank", "progress")
-                        else None
-                    ),
-                )
-                engine = "replay"
-            except ReplayDiverged as exc:
-                run = None  # this sample left the log; replay it live
-                fallback = True
-                if TRACER.enabled:
-                    TRACER.emit("replay_fallback", reason=f"diverged: {exc}")
-        else:
-            fallback = True
-            if TRACER.enabled:
-                TRACER.emit(
-                    "replay_fallback",
-                    reason=f"not-replayable: {record.reason}",
-                )
-    if run is None:
-        run = kernel.run_intermittent(
-            workload.inputs,
-            trace,
-            runtime=spec.runtime,
-            capacitor=Capacitor(
-                capacitance_f=spec.capacitor_f, v_initial=3.0, v_max=3.3
-            ),
-            energy_model=energy,
-            start_tick=spec.invocation * 313,
-            max_wall_ms=spec.max_wall_ms,
-            watchdog_cycles=(
-                spec.watchdog_cycles
-                if spec.runtime in ("clank", "progress")
-                else None
-            ),
-        )
     return _finalize_sample(
-        spec, run, workload, reference, trace, energy, engine, fallback
+        spec, run, workload, reference, trace, energy, "interp", False
     )
+
+
+def _record_for(spec: SampleSpec, kernel: AnytimeKernel, workload) -> ReplayRecord:
+    """The configuration's commit log, recorded once per process."""
+    kkey = _kernel_key(spec)
+    record = _worker_records.get(kkey)
+    if record is None:
+        record = record_run(kernel, workload.inputs)
+        _worker_records[kkey] = record
+        if TRACER.enabled:
+            TRACER.emit(
+                "record_run", workload=spec.workload_name,
+                mode=spec.mode, bits=spec.bits,
+                replayable=record.replayable,
+                reason=record.reason or None, length=record.length,
+            )
+        if PROFILER.enabled and record.replayable:
+            # One folded profile per configuration (the replayed
+            # samples all consume this same recorded stream).
+            PROFILER.collect_record(
+                record,
+                kernel.compiled.program,
+                f"{kernel.compiled.program.name}/{spec.runtime}",
+            )
+    return record
 
 
 def _finalize_sample(
@@ -612,7 +614,7 @@ def _finalize_sample(
 ) -> SampleRun:
     """Grade one finished intermittent run into a :class:`SampleRun`.
 
-    Shared tail of the per-sample and batched paths, so both produce
+    Shared tail of the interpreter and replay paths, so both produce
     identical completion errors, metrics and ledger rollups."""
     if not run.result.completed:
         raise IncompleteRun(
@@ -643,104 +645,54 @@ def _finalize_sample(
 
 
 def _run_config_group(specs: List[SampleSpec]) -> List[SampleRun]:
-    """Execute one configuration's whole grid as a lane batch.
+    """The replay path: one configuration's samples as lanes of one
+    commit-log walk.
 
     All specs share (workload, scale, mode, bits, runtime) — they are
     one configuration's trace x invocation grid in grid order. The
-    happy path records once, batches every sample as a lane, and grades
-    the surviving runs; lanes the batch demotes (and situations the
-    batch refuses wholesale: event tracing, per-sample timeouts, fault
-    injection, a non-replayable record) fall back to
-    :func:`_run_sample`, whose results are bit-identical by
-    construction. Returns samples in grid order either way."""
+    configuration is recorded once (per process), its samples run as
+    lanes of :func:`~repro.runtime.batch_executor.run_batch_group`, and
+    every lane the engine demotes runs on the interpreter instead,
+    counted as a ``replay_fallback``. Under ``REPRO_TRACE`` or
+    ``REPRO_SAMPLE_TIMEOUT`` each sample is its own one-lane group, so
+    its events stay between its own ``sample_start`` and
+    ``sample_end`` and its deadline covers only itself. Returns samples
+    in grid order."""
     from ..runtime.batch_executor import run_batch_group
-    from ..workloads import make_workload
 
-    if not specs:
-        return []
-    if (
-        TRACER.enabled
-        or experiment_sample_timeout() is not None
-        or experiment_faults() is not None
-    ):
-        # Tracing hooks, cooperative deadlines and per-sample chaos
-        # traces live in the scalar paths only.
-        return [_run_sample(spec) for spec in specs]
+    if TRACER.enabled or experiment_sample_timeout() is not None:
+        groups = [[spec] for spec in specs]
+    else:
+        groups = [specs] if specs else []
 
-    spec = specs[0]
-    wkey = (spec.workload_name, spec.scale)
-    if wkey not in _worker_workloads:
-        workload = make_workload(spec.workload_name, spec.scale)
-        _worker_workloads[wkey] = (workload, tuple(workload.decoded_reference()))
-    workload, default_reference = _worker_workloads[wkey]
-    reference = spec.reference if spec.reference is not None else default_reference
-
-    kkey = (spec.workload_name, spec.scale, spec.mode, spec.bits)
-    if kkey not in _worker_kernels:
-        _worker_kernels[kkey] = build_anytime(workload, spec.mode, spec.bits)
-    kernel = _worker_kernels[kkey]
-
-    record = _worker_records.get(kkey)
-    if record is None:
-        record = record_run(kernel, workload.inputs)
-        _worker_records[kkey] = record
-        if PROFILER.enabled and record.replayable:
-            PROFILER.collect_record(
-                record,
-                kernel.compiled.program,
-                f"{kernel.compiled.program.name}/{spec.runtime}",
-            )
-    if not record.replayable:
-        return [_run_sample(s) for s in specs]
-
-    tkey = (spec.trace_count, spec.trace_duration_ms, spec.trace_seed)
-    if tkey not in _worker_traces:
-        _worker_traces[tkey] = paper_traces(
-            count=spec.trace_count,
-            duration_ms=spec.trace_duration_ms,
-            base_seed=spec.trace_seed,
+    def replay(group: List[SampleSpec]) -> List[SampleRun]:
+        first = group[0]
+        workload, reference, kernel, _trace = _sample_inputs(first)
+        traces = [_sample_inputs(spec)[3] for spec in group]
+        if TRACER.enabled:
+            _emit_sample_start(first)
+        record = _record_for(first, kernel, workload)
+        energy = _energy_model(first.runtime)
+        runs = run_batch_group(
+            kernel, record, workload.inputs,
+            [_run_args(spec, trace, energy) for spec, trace in zip(group, traces)],
         )
-    traces = _worker_traces[tkey]
-
-    energies = {}
-    lane_args = []
-    for s in specs:
-        energy = energies.get(s.runtime)
-        if energy is None:
-            energy = energies[s.runtime] = EnergyModel(
-                backup_overhead=NVP_BACKUP_OVERHEAD if s.runtime == "nvp" else 0.0
-            )
-        lane_args.append(
-            dict(
-                trace=traces[s.trace_index],
-                runtime=s.runtime,
-                capacitor=Capacitor(
-                    capacitance_f=s.capacitor_f, v_initial=3.0, v_max=3.3
-                ),
-                energy_model=energy,
-                start_tick=s.invocation * 313,
-                max_wall_ms=s.max_wall_ms,
-                watchdog_cycles=(
-                    s.watchdog_cycles
-                    if s.runtime in ("clank", "progress")
-                    else None
-                ),
-            )
-        )
-    runs = run_batch_group(kernel, record, workload.inputs, lane_args)
-
-    results: List[SampleRun] = []
-    for s, run in zip(specs, runs):
-        if run is None:
-            results.append(_run_sample(s))
-        else:
+        results = []
+        for spec, trace, run in zip(group, traces, runs):
+            fallback = run is None
+            if fallback:
+                run = kernel.run_intermittent(
+                    workload.inputs, **_run_args(spec, trace, energy)
+                )
             results.append(
                 _finalize_sample(
-                    s, run, workload, reference, traces[s.trace_index],
-                    energies[s.runtime], "batch", False,
+                    spec, run, workload, reference, trace, energy,
+                    "interp" if fallback else "replay", fallback,
                 )
             )
-    return results
+        return results
+
+    return [run for group in groups for run in _deadlined(replay, group)]
 
 
 def _resume_key(
@@ -904,7 +856,16 @@ def _sample_specs(
     environment: Environment,
     reference: Optional[Sequence[float]],
 ) -> List[SampleSpec]:
-    """The trace x invocation grid for one configuration, in grid order."""
+    """The trace x invocation grid for one configuration, in grid order.
+
+    Raises ``ValueError`` for a workload without a ``scale``: samples
+    rebuild their workload by name, so it must come from
+    :func:`~repro.workloads.make_workload`."""
+    if workload.scale is None:
+        raise ValueError(
+            f"workload {workload.name!r} has no scale; build it with "
+            "repro.workloads.make_workload so samples can rebuild it by name"
+        )
     return [
         SampleSpec(
             workload_name=workload.name,
@@ -928,99 +889,57 @@ def _sample_specs(
 
 
 def _map_samples(specs: List[SampleSpec], jobs: int) -> List[SampleRun]:
-    """Ordered, self-healing map over the grid.
+    """Ordered, self-healing map over the grid; returns samples in
+    grid order.
 
-    Serial when ``jobs <= 1``. Otherwise each spec is submitted as its
-    own future and collected in submission order, so the merged result
-    list is independent of worker scheduling — and a failure is scoped
-    to its spec, not the grid: a sample whose worker dies (OOM killer,
-    segfaulting interpreter, ``BrokenProcessPool``) or errors in flight
-    is retried *serially in the parent* after the pool drains. One
-    aggregated stderr warning reports everything that was retried. Only
-    a sample that also fails its serial retry propagates — a
-    deterministic failure (e.g. :class:`~repro.errors.IncompleteRun`)
-    still surfaces as the typed error it is; an unlucky worker crash
-    never kills an hours-long grid."""
-    if jobs <= 1 or len(specs) <= 1:
-        return [_run_sample(spec) for spec in specs]
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures import TimeoutError as FutureTimeout
-    from concurrent.futures.process import BrokenProcessPool
-
-    # Hard per-future backstop: the in-worker deadline is cooperative,
-    # so give each result several budgets of slack before declaring the
-    # worker wedged and falling back to the serial retry.
-    timeout = experiment_sample_timeout()
-    hard_cap = None if timeout is None else 4.0 * timeout + 30.0
-
-    results: List[Optional[SampleRun]] = [None] * len(specs)
-    failures: List[Tuple[int, str]] = []
-    wedged = False
-    pool = ProcessPoolExecutor(max_workers=min(jobs, len(specs)))
-    try:
-        futures = [pool.submit(_run_sample, spec) for spec in specs]
-        for index, future in enumerate(futures):
-            try:
-                results[index] = future.result(timeout=hard_cap)
-            except BrokenProcessPool:
-                future.cancel()
-                failures.append((index, "worker process died"))
-            except FutureTimeout:
-                future.cancel()
-                wedged = True
-                failures.append((index, "worker exceeded the hard timeout"))
-            except Exception as exc:  # noqa: BLE001 — every spec retries
-                failures.append((index, f"{type(exc).__name__}: {exc}"))
-    finally:
-        # A wedged worker would block a waiting shutdown forever; leave
-        # it to finish (or die) on its own and reclaim the grid now.
-        pool.shutdown(wait=not wedged, cancel_futures=True)
-    if failures:
-        preview = "; ".join(
-            f"sample {index}: {reason}" for index, reason in failures[:3]
-        )
-        more = "" if len(failures) <= 3 else f" (+{len(failures) - 3} more)"
-        print(
-            f"repro: retrying {len(failures)}/{len(specs)} grid samples "
-            f"serially after worker failures [{preview}{more}]",
-            file=sys.stderr,
-        )
-        for index, _reason in failures:
-            results[index] = _run_sample(specs[index])
-    return results
-
-
-def _map_groups(
-    spec_groups: List[List[SampleSpec]], jobs: int
-) -> List[List[SampleRun]]:
-    """Ordered, self-healing map over per-configuration sample groups.
-
-    The batched engine's unit of work is a whole configuration (its
-    samples share one commit-log walk), so ``REPRO_JOBS`` shards by
-    *config* here, not by sample. Collection order and the serial-retry
-    net mirror :func:`_map_samples`: results are independent of worker
-    scheduling, and a group whose worker dies or errors re-runs
-    serially in the parent before anything propagates."""
-    if jobs <= 1 or len(spec_groups) <= 1:
-        return [_run_config_group(group) for group in spec_groups]
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures import TimeoutError as FutureTimeout
-    from concurrent.futures.process import BrokenProcessPool
-
-    timeout = experiment_sample_timeout()
-
-    results: List[Optional[List[SampleRun]]] = [None] * len(spec_groups)
-    failures: List[Tuple[int, str]] = []
-    wedged = False
-    pool = ProcessPoolExecutor(max_workers=min(jobs, len(spec_groups)))
-    try:
-        futures = [
-            pool.submit(_run_config_group, group) for group in spec_groups
+    The unit of work is one sample on the interpreter and one
+    configuration under ``REPRO_REPLAY`` (its samples share one
+    commit-log walk), so ``REPRO_JOBS`` shards by sample or by config.
+    Serial when ``jobs <= 1`` or there is a single unit. Otherwise each
+    unit is submitted as its own future and collected in submission
+    order, so the merged result list is independent of worker
+    scheduling — and a failure is scoped to its unit, not the grid: a
+    unit whose worker dies (OOM killer, segfaulting interpreter,
+    ``BrokenProcessPool``) or errors in flight is retried *serially in
+    the parent* after the pool drains. One aggregated stderr warning
+    reports everything that was retried. Only a unit that also fails
+    its serial retry propagates — a deterministic failure (e.g.
+    :class:`~repro.errors.IncompleteRun`) still surfaces as the typed
+    error it is; an unlucky worker crash never kills an hours-long
+    grid."""
+    if experiment_replay():
+        work, noun = _run_config_group, "config group"
+        units = [
+            list(group)
+            for _key, group in itertools.groupby(
+                specs, key=lambda spec: (_kernel_key(spec), spec.runtime)
+            )
         ]
+    else:
+        work, noun = _run_samples, "sample"
+        units = [[spec] for spec in specs]
+    if jobs <= 1 or len(units) <= 1:
+        return [run for unit in units for run in work(unit)]
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures import TimeoutError as FutureTimeout
+    from concurrent.futures.process import BrokenProcessPool
+
+    timeout = experiment_sample_timeout()
+
+    results: List[Optional[List[SampleRun]]] = [None] * len(units)
+    failures: List[Tuple[int, str]] = []
+    wedged = False
+    pool = ProcessPoolExecutor(max_workers=min(jobs, len(units)))
+    try:
+        futures = [pool.submit(work, unit) for unit in units]
         for index, future in enumerate(futures):
+            # Hard per-future backstop: the in-worker deadline is
+            # cooperative, so give each sample several budgets of slack
+            # before declaring the worker wedged and falling back to
+            # the serial retry.
             hard_cap = (
                 None if timeout is None
-                else (4.0 * timeout + 30.0) * max(1, len(spec_groups[index]))
+                else (4.0 * timeout + 30.0) * len(units[index])
             )
             try:
                 results[index] = future.result(timeout=hard_cap)
@@ -1031,42 +950,41 @@ def _map_groups(
                 future.cancel()
                 wedged = True
                 failures.append((index, "worker exceeded the hard timeout"))
-            except Exception as exc:  # noqa: BLE001 — every group retries
+            except Exception as exc:  # noqa: BLE001 — every unit retries
                 failures.append((index, f"{type(exc).__name__}: {exc}"))
     finally:
+        # A wedged worker would block a waiting shutdown forever; leave
+        # it to finish (or die) on its own and reclaim the grid now.
         pool.shutdown(wait=not wedged, cancel_futures=True)
     if failures:
         preview = "; ".join(
-            f"config group {index}: {reason}" for index, reason in failures[:3]
+            f"{noun} {index}: {reason}" for index, reason in failures[:3]
         )
         more = "" if len(failures) <= 3 else f" (+{len(failures) - 3} more)"
         print(
-            f"repro: retrying {len(failures)}/{len(spec_groups)} config "
-            f"groups serially after worker failures [{preview}{more}]",
+            f"repro: retrying {len(failures)}/{len(units)} {noun}s "
+            f"serially after worker failures [{preview}{more}]",
             file=sys.stderr,
         )
         for index, _reason in failures:
-            results[index] = _run_config_group(spec_groups[index])
-    return results
+            results[index] = work(units[index])
+    return [run for unit_runs in results for run in unit_runs]
 
 
 def _finish_result(
-    result: BenchmarkResult, setup: ExperimentSetup
+    result: BenchmarkResult, setup: ExperimentSetup, engine: Optional[str] = None
 ) -> BenchmarkResult:
     """Observability hooks every finished configuration passes through.
 
     Feeds the active run manifest (no-op when none is open) and, when
     ``REPRO_METRICS=<path>`` is set, appends one JSONL rollup line for
     the configuration. Runs in the parent process only: worker metrics
-    arrived inside the :class:`SampleRun` objects.
+    arrived inside the :class:`SampleRun` objects. ``engine`` defaults
+    to the one ``REPRO_REPLAY`` selects.
     """
     metrics = result.merged_metrics()
-    if experiment_batch():
-        engine = "batch"
-    elif experiment_replay():
-        engine = "replay"
-    else:
-        engine = "interp"
+    if engine is None:
+        engine = "replay" if experiment_replay() else "interp"
     setup_info = {
         "scale": setup.scale,
         "trace_count": setup.trace_count,
@@ -1138,9 +1056,9 @@ def run_benchmark(
     """Run one configuration over all traces x invocations.
 
     ``jobs`` defaults to :func:`experiment_jobs` (the ``REPRO_JOBS``
-    environment variable). Parallel execution needs a workload that
-    worker processes can rebuild (``workload.scale`` set, i.e. built by
-    ``make_workload``); otherwise the serial path runs regardless.
+    environment variable). The workload must come from
+    :func:`~repro.workloads.make_workload`: samples rebuild it by name,
+    in this process or in pool workers.
     """
     if environment is None:
         environment = calibrate_environment(measure_precise_cycles(workload), setup)
@@ -1149,113 +1067,42 @@ def run_benchmark(
     jobs = experiment_jobs() if jobs is None else max(1, jobs)
 
     result = BenchmarkResult(workload.name, mode, bits, runtime)
-    if workload.scale is not None:
-        # All rebuildable workloads route through the spec path, serial
-        # or parallel: it shares the per-process kernel/workload/record
-        # caches (and the REPRO_REPLAY engine) with pool workers, and a
-        # sample's result is a deterministic function of its spec either
-        # way. Only ad-hoc workloads (scale=None, not reproducible from
-        # a name) take the legacy inline loop below.
-        store = experiment_store()
-        fingerprint = None
-        if store is not None:
-            fingerprint = config_fingerprint(
-                workload.name, workload.scale, mode, bits, runtime,
-                setup, environment, _fingerprint_reference(workload, reference),
-            )
-            hit = _store_lookup(store, fingerprint)
-            if hit is not None:
-                result.runs.extend(hit)
-                return _finish_result(result, setup)
-        resume_dir = experiment_resume_dir()
-        key = None
-        if resume_dir is not None:
-            key = _resume_key(
-                workload.name, workload.scale, mode, bits, runtime,
-                setup, environment,
-            )
-            cached = _load_resumed(resume_dir, key)
-            if cached is not None:
-                result.runs.extend(cached)
-                if store is not None:
-                    store.put(
-                        fingerprint,
-                        _store_payload(result, fingerprint, workload.scale, setup),
-                    )
-                return _finish_result(result, setup)
-        specs = _sample_specs(workload, mode, bits, runtime, setup, environment, reference)
-        if experiment_batch():
-            # One configuration = one batch group; a lone config has
-            # nothing to shard, so it runs in-process.
-            result.runs.extend(_run_config_group(specs))
-        else:
-            result.runs.extend(_map_samples(specs, jobs))
-        if resume_dir is not None:
-            _save_resumed(resume_dir, key, result.runs)
-        if store is not None:
-            store.put(
-                fingerprint,
-                _store_payload(result, fingerprint, workload.scale, setup),
-            )
-        return _finish_result(result, setup)
-
-    kernel = build_anytime(workload, mode, bits)
-    energy = EnergyModel(
-        backup_overhead=NVP_BACKUP_OVERHEAD if runtime == "nvp" else 0.0
-    )
-    for trace_index, trace in enumerate(setup.traces()):
-        for invocation in range(setup.invocations):
-            if TRACER.enabled:
-                TRACER.emit(
-                    "sample_start", workload=workload.name,
-                    scale=workload.scale, mode=mode, bits=bits,
-                    runtime=runtime, trace=trace_index,
-                    invocation=invocation,
+    store = experiment_store()
+    fingerprint = None
+    if store is not None:
+        fingerprint = config_fingerprint(
+            workload.name, workload.scale, mode, bits, runtime,
+            setup, environment, _fingerprint_reference(workload, reference),
+        )
+        hit = _store_lookup(store, fingerprint)
+        if hit is not None:
+            result.runs.extend(hit)
+            return _finish_result(result, setup)
+    resume_dir = experiment_resume_dir()
+    key = None
+    if resume_dir is not None:
+        key = _resume_key(
+            workload.name, workload.scale, mode, bits, runtime,
+            setup, environment,
+        )
+        cached = _load_resumed(resume_dir, key)
+        if cached is not None:
+            result.runs.extend(cached)
+            if store is not None:
+                store.put(
+                    fingerprint,
+                    _store_payload(result, fingerprint, workload.scale, setup),
                 )
-            run = kernel.run_intermittent(
-                workload.inputs,
-                trace,
-                runtime=runtime,
-                capacitor=environment.capacitor(),
-                energy_model=energy,
-                start_tick=invocation * 313,
-                max_wall_ms=setup.max_wall_ms,
-                watchdog_cycles=(
-                    environment.watchdog_cycles
-                    if runtime in ("clank", "progress")
-                    else None
-                ),
-            )
-            if not run.result.completed:
-                raise IncompleteRun(
-                    f"{workload.name} [{mode}/{runtime}] did not complete on "
-                    f"trace {trace.name!r} within {setup.max_wall_ms} ms",
-                    outages=run.result.outages,
-                    active_cycles=run.result.active_cycles,
-                )
-            decoded = workload.decode(run.outputs)
-            error = nrmse(reference, decoded)
-            accuracy = workload.accuracy(decoded) if workload.accuracy else None
-            if TRACER.enabled:
-                TRACER.emit(
-                    "sample_end", engine="interp",
-                    completed=run.result.completed,
-                    skim_taken=run.result.skim_taken,
-                    wall_ms=run.result.wall_ms,
-                )
-            result.runs.append(
-                SampleRun(
-                    wall_ms=run.result.wall_ms,
-                    on_ms=run.result.on_ms,
-                    active_cycles=run.result.active_cycles,
-                    outages=run.result.outages,
-                    skim_taken=run.result.skim_taken,
-                    error=error,
-                    accuracy=accuracy,
-                    metrics=_sample_metrics(run, "interp", False, error, accuracy),
-                    ledger=_sample_ledger(run, energy),
-                )
-            )
+            return _finish_result(result, setup)
+    specs = _sample_specs(workload, mode, bits, runtime, setup, environment, reference)
+    result.runs.extend(_map_samples(specs, jobs))
+    if resume_dir is not None:
+        _save_resumed(resume_dir, key, result.runs)
+    if store is not None:
+        store.put(
+            fingerprint,
+            _store_payload(result, fingerprint, workload.scale, setup),
+        )
     return _finish_result(result, setup)
 
 
@@ -1281,7 +1128,7 @@ def run_benchmark_suite(
         reference = workload.decoded_reference()
     jobs = experiment_jobs()
 
-    if jobs <= 1 or workload.scale is None:
+    if jobs <= 1:
         return [
             run_benchmark(workload, mode, bits, runtime, setup, environment,
                           reference, jobs=1)
@@ -1331,13 +1178,8 @@ def run_benchmark_suite(
         )
     if not spec_lists:
         runs = []  # fully warm grid: nothing to execute, nothing to pool
-    elif experiment_batch():
-        # The batch walks one commit log per configuration, so the pool
-        # shards by config here — never by sample.
-        runs = [run for group in _map_groups(spec_lists, jobs) for run in group]
     else:
-        all_specs = [spec for group in spec_lists for spec in group]
-        runs = _map_samples(all_specs, jobs)
+        runs = _map_samples([spec for group in spec_lists for spec in group], jobs)
 
     per_config = setup.trace_count * setup.invocations
     results = []

@@ -9,7 +9,7 @@ and wire bytes are corrupted or fragmented on a live connection.
 
 The oracle is end-to-end and unconditional: after every scenario the
 resubmitted job must yield per-sample runs **byte-identical** to a
-direct in-process run of the same configuration on the batch engine,
+direct in-process run of the same configuration on the replay engine,
 the journal must drain to zero pending accepts (no lost jobs), and the
 store must hold exactly one entry for the configuration (no
 duplicates). Everything is seeded — scenario kinds, kill points, tear

@@ -1,35 +1,50 @@
-"""Lane-parallel batched replay: one commit-log walk, N samples.
+"""The replay engine: one configuration's samples walked over its commit log.
 
-One (workload, mode, bits) configuration shares a single commit log
-across its whole trace x invocation grid; the per-sample replay engine
-(:class:`~repro.runtime.replay_executor.ReplayExecutor`) nevertheless
-walks that log once *per sample*. The batch executor walks it once per
-*configuration*: every sample becomes a **lane** — its own real
+Every intermittent sample of one (workload, mode, bits) configuration
+consumes the same recorded instruction stream
+(:class:`~repro.sim.replay.ReplayRecord`); the power trace only decides
+where outages cut it. :func:`run_batch_group` runs a configuration's
+samples as **lanes** over that one record. Each lane owns real
 :class:`~repro.power.supply.PowerSupply`, replay policy, skim register
-and progress ledger — and the executor advances all lane cursors
-together, tick by tick.
+and :class:`~repro.observability.ledger.ProgressLedger` objects and
+drives the *same* control flow as
+:class:`repro.runtime.executor.IntermittentExecutor` — charge, restore,
+tick budgeting, pending-overhead carry, watchdog chunking, the Hibernus
+snapshot reserve, outage bookkeeping — but executing a chunk is the
+lane policy's :meth:`~repro.runtime.base.ReplayPolicy.run_chunk` (a
+bisect over cost prefix sums, split at the runtime's own events) and
+restoring a checkpoint is rewinding a stream position. Because the
+per-tick cycle consumption is reproduced exactly, every lane sees the
+identical energy trajectory, ``RunResult`` and outputs as the
+interpreter path.
 
-Bit-exactness strategy: the per-lane state machine is a statement-level
-transcription of ``ReplayExecutor.run`` (and of
-``ClankReplayPolicy.run_chunk`` for the segmented clank walk) operating
-on the same scalar objects, so each lane performs the identical
-sequence of operations it would perform alone. What the batch adds is
-*shared, vectorized answers* to the three data-independent questions
-every lane asks — budget bisects (:func:`advance_lanes`), WAR horizons
-(:class:`~repro.sim.batch_replay.BatchIndex`, memoized on the record)
-and off-phase charge fast-forwarding — each proven identical to its
-scalar counterpart in :mod:`repro.sim.batch_replay`. Without numpy the
-same lane-cursor loop runs on the scalar kernels: still one log walk
-and one policy-event loop for N samples, just without the vector math.
+Each runtime's :class:`~repro.runtime.base.ReplayPolicy` is the only
+statement of its replay semantics: the walk here never looks inside a
+chunk, so a new runtime needs a live runtime and a replay policy, and
+nothing else. Lanes share only the record's memoized answers — WAR
+horizons (answered in one shot by
+:class:`~repro.sim.batch_replay.BatchIndex` when numpy is available),
+output-store positions and keyframe images — which are
+order-independent, so lanes walk one after another (and then finish
+in order), and a one-lane group is exactly per-sample replay. The
+off-phase charge loop is fast-forwarded by
+:func:`~repro.sim.batch_replay.charge_until_on_fast`.
 
-Demotion: a lane whose walk leaves the happy path — a policy divergence
-(:class:`~repro.sim.replay.ReplayDiverged`), a forward-progress stall
-or a dead trace (:class:`~repro.errors.ProgressStall` /
-:class:`~repro.power.supply.SupplyExhausted`) — is dropped from the
-batch and reported as ``None``; the caller re-runs just that sample on
-the per-sample path, which reproduces the scalar behavior exactly
-(including the interpreter fallback). Whole groups are refused (all
-``None``) when the record is not replayable or event tracing is on.
+Two situations leave the log:
+
+* **Skim handoff** — a restore consumes an armed skim register. The
+  post-skim suffix (checkpoint registers + skim-target PC) was never
+  recorded, so :func:`finish_replay_run` reconstructs the concrete CPU
+  and memory state at the cut from the nearest keyframe and store log,
+  and hands the *same* supply, skim register and ledger to a live
+  :class:`~repro.runtime.executor.IntermittentExecutor` for the rest.
+* **Demotion** — a policy divergence
+  (:class:`~repro.sim.replay.ReplayDiverged`, e.g. Hibernus rewinding
+  into a non-idempotent segment) or a forward-progress stall or dead
+  trace (:class:`~repro.errors.ProgressStall`) drops the lane, reported
+  as ``None``; the caller runs that sample on the interpreter, which
+  reproduces it (or its typed error) exactly. A non-replayable record
+  demotes every lane.
 """
 
 from __future__ import annotations
@@ -42,358 +57,338 @@ from ..observability.ledger import ProgressLedger
 from ..observability.tracer import TRACER
 from ..power.supply import PowerSupply
 from ..sim.batch_replay import (
-    advance_lanes,
     build_batch_index,
     charge_until_on_fast,
     trace_energy_array,
 )
 from ..sim.replay import ReplayDiverged, ReplayRecord
-from .executor import IDLE_TICK_LIMIT, STALLED_RESTORE_LIMIT
-from .replay_executor import (
-    _LIVELOCK_MESSAGE,
-    _make_policy,
-    finish_replay_run,
+from .base import ReplayPolicy
+from .checkpoint import Checkpoint
+from .clank import ClankReplayPolicy, ClankRuntime
+from .executor import (
+    IDLE_TICK_LIMIT,
+    STALLED_RESTORE_LIMIT,
+    IntermittentExecutor,
+    RunResult,
+    check_sample_deadline,
+    sample_deadline_armed,
+)
+from .hibernus import HibernusReplayPolicy, HibernusRuntime
+from .nvp import NVPReplayPolicy, NVPRuntime
+from .progress import (
+    ProgressReplayPolicy,
+    ProgressRuntime,
+    output_ranges_of,
+    output_store_positions,
 )
 from .skim import SkimRegister
 
-#: Exceptions that demote one lane to the per-sample path.
+#: Exceptions that demote one lane to the interpreter.
 _DEMOTE = (ReplayDiverged, ProgressStall)
 
-_RUN = 0
-_TICK = 1  # charged and restored this round; participates in the tick
-_FINISHED = 2  # halted, timed out, or cut at a skim point
-_DEMOTED = 3
+_LIVELOCK_MESSAGE = (
+    "forward-progress livelock: 64 consecutive "
+    "restores resumed from the same state; no "
+    "progress survives the power cycles. Enlarge "
+    "the storage capacitor or shorten the "
+    "runtime's watchdog/checkpoint period."
+)
 
 
-class _Lane:
-    """One intermittent sample's scalar state inside the batch."""
-
-    __slots__ = (
-        "runtime", "watchdog_cycles", "start_tick", "max_wall_ms",
-        "supply", "policy", "skim", "ledger", "energies",
-        "pending", "pending_kind", "stalled", "last_signature", "idle",
-        "state", "skim_cut", "timed_out", "volatile", "jit", "interval",
-        "budget", "used", "reserved", "chunk", "ckpt_before", "ran",
-        "_cur", "_consumed", "_war", "_stop", "_adv",
+def _make_policy(
+    runtime: str,
+    record: ReplayRecord,
+    skim: SkimRegister,
+    watchdog_cycles: Optional[int],
+    kernel=None,
+) -> ReplayPolicy:
+    if runtime == "clank":
+        kwargs = {}
+        if watchdog_cycles is not None:
+            kwargs["watchdog_cycles"] = watchdog_cycles
+        return ClankReplayPolicy(record, skim, **kwargs)
+    if runtime == "progress":
+        kwargs = {}
+        if watchdog_cycles is not None:
+            kwargs["watchdog_cycles"] = watchdog_cycles
+        positions = output_store_positions(record, output_ranges_of(kernel))
+        return ProgressReplayPolicy(record, skim, positions, **kwargs)
+    if runtime == "nvp":
+        return NVPReplayPolicy(record, skim)
+    if runtime == "hibernus":
+        return HibernusReplayPolicy(record, skim)
+    raise ValueError(
+        f"unknown runtime {runtime!r} "
+        "(want 'clank', 'progress', 'nvp' or 'hibernus')"
     )
 
-    def __init__(self, record: ReplayRecord, args: Dict, kernel=None) -> None:
-        self.runtime = args["runtime"]
-        self.watchdog_cycles = args.get("watchdog_cycles")
-        self.start_tick = args.get("start_tick", 0)
-        self.max_wall_ms = args.get("max_wall_ms", 10_000_000)
-        self.skim = SkimRegister()
-        self.policy = _make_policy(
-            self.runtime, record, self.skim, self.watchdog_cycles, kernel
-        )
-        self.supply = PowerSupply(
-            args["trace"],
-            args["capacitor"],
-            args["energy_model"],
-            start_tick=self.start_tick,
-        )
-        self.ledger = ProgressLedger()
-        self.energies = trace_energy_array(args["trace"])
-        self.pending = 0
-        self.pending_kind = "restore"
-        self.stalled = 0
-        self.last_signature = None
-        self.idle = 0
-        self.state = _RUN
-        self.skim_cut = None
-        self.timed_out = False
-        self.volatile = self.policy.name != "nvp"
-        self.jit = getattr(self.policy, "on_low_voltage", None)
-        self.interval = self.policy.watchdog_cycles
+
+def _make_handoff_runtime(
+    runtime: str, skim: SkimRegister, watchdog_cycles: Optional[int], kernel=None
+):
+    if runtime == "clank":
+        kwargs = {"skim": skim}
+        if watchdog_cycles is not None:
+            kwargs["watchdog_cycles"] = watchdog_cycles
+        return ClankRuntime(**kwargs)
+    if runtime == "progress":
+        kwargs = {"skim": skim}
+        if watchdog_cycles is not None:
+            kwargs["watchdog_cycles"] = watchdog_cycles
+        return ProgressRuntime(output_ranges_of(kernel), **kwargs)
+    if runtime == "nvp":
+        return NVPRuntime(skim=skim)
+    return HibernusRuntime(skim=skim)
 
 
-class BatchReplayExecutor:
-    """Advances N lanes over one record; see module docstring."""
+def _merge_stats(into, other) -> None:
+    into.checkpoints += other.checkpoints
+    into.checkpoint_cycles += other.checkpoint_cycles
+    into.restores += other.restores
+    into.restore_cycles += other.restore_cycles
+    into.war_violations += other.war_violations
+    into.watchdog_checkpoints += other.watchdog_checkpoints
+    into.extra.update(other.extra)
 
-    def __init__(self, record: ReplayRecord, lanes: List[_Lane]) -> None:
-        self.record = record
-        self.index = record.batch or None
-        self.lanes = lanes
 
-    # -- master loop ---------------------------------------------------------
+def _walk(
+    supply: PowerSupply,
+    policy: ReplayPolicy,
+    skim: SkimRegister,
+    ledger: ProgressLedger,
+    energies,
+    max_wall_ms: int,
+    traced: bool,
+    timed: bool,
+):
+    """Consume the log for one lane until halt, timeout or skim cut.
 
-    def run(self) -> None:
-        """Charge/restore/tick every live lane until all are resolved.
+    Mirrors ``IntermittentExecutor.run`` statement for statement; every
+    divergence from that loop is a correctness bug (the differential
+    suites in ``tests/test_replay_engine.py`` and
+    ``tests/test_batch_replay.py`` check the experiment grids). Returns
+    ``(skim_cut, timed_out)``, where ``skim_cut`` is ``(cut position,
+    skim target, pending restore overhead)`` when a restore consumed an
+    armed skim register. ``traced`` and ``timed`` are the group's
+    ``TRACER.enabled`` and deadline-armed flags, read once per group.
+    """
+    start_tick = supply.tick
+    pending_overhead = 0
+    pending_kind = "restore"
+    volatile = policy.name != "nvp"
+    stalled_restores = 0
+    idle_ticks = 0
+    last_restore_signature = None
+    jit_snapshot = getattr(policy, "on_low_voltage", None)
+    interval = policy.watchdog_cycles
+    fast_charge = energies is not None and len(energies) > 0
 
-        Rounds preserve each lane's own operation order exactly (lanes
-        never read each other's state; the only sharing is the record's
-        memoized WAR verdicts, which are order-independent integers)."""
-        active = [lane for lane in self.lanes if lane.state == _RUN]
-        while active:
-            ticking: List[_Lane] = []
-            for lane in active:
-                policy = lane.policy
-                supply = lane.supply
-                try:
-                    # Mirror of ReplayExecutor.run's loop head: the
-                    # while-condition halt check, then the timeout
-                    # check, then the charge + restore block.
-                    if policy.halted:
-                        lane.state = _FINISHED
-                        continue
-                    if supply.tick - lane.start_tick > lane.max_wall_ms:
-                        lane.timed_out = True
-                        lane.state = _FINISHED
-                        continue
-                    if not supply.on:
-                        if lane.energies is not None and len(lane.energies):
-                            charge_until_on_fast(supply, lane.energies)
-                        else:
-                            supply.charge_until_on()
-                        armed_before = lane.skim.armed
-                        lane.pending = policy.on_restore()
-                        lane.pending_kind = "restore"
-                        if armed_before and not lane.skim.armed:
-                            lane.skim_cut = (
-                                policy.resume_position,
-                                policy.skim_redirect,
-                                lane.pending,
-                            )
-                            lane.state = _FINISHED
-                            continue
-                        signature = policy.resume_position
-                        if signature == lane.last_signature:
-                            lane.stalled += 1
-                            if lane.stalled >= STALLED_RESTORE_LIMIT:
-                                raise ProgressStall(
-                                    _LIVELOCK_MESSAGE,
-                                    position=policy.resume_position,
-                                    tick=supply.tick, runtime=policy.name,
-                                )
-                        else:
-                            lane.stalled = 0
-                            lane.last_signature = signature
-                    ticking.append(lane)
-                except _DEMOTE:
-                    lane.state = _DEMOTED
-            if ticking:
-                self._tick(ticking)
-            active = [lane for lane in ticking if lane.state == _RUN]
+    while not policy.halted:
+        if supply.tick - start_tick > max_wall_ms:
+            return None, True
+        if timed:
+            check_sample_deadline(supply.tick)
 
-    # -- one ON millisecond, all lanes ---------------------------------------
-
-    def _tick(self, lanes: List[_Lane]) -> None:
-        """The body of one supply tick, lane-parallel per phase."""
-        # Phase 1: begin the tick, pay pending overhead, reserve the
-        # Hibernus snapshot allowance.
-        for lane in lanes:
-            budget = lane.supply.begin_tick()
-            used = 0
-            if lane.pending:
-                paid = min(lane.pending, budget)
-                lane.pending -= paid
-                used = paid
-                lane.ledger.overhead(lane.pending_kind, paid)
-            reserved = 0
-            if lane.jit is not None and lane.supply.tick_energy_limited:
-                reserved = min(lane.policy.snapshot_cycles, budget - used)
-                budget -= reserved
-            lane.budget = budget
-            lane.used = used
-            lane.reserved = reserved
-
-        # Phase 2: the executor's inner chunk loop, with the chunk
-        # advances themselves batched across lanes.
-        work = [
-            lane for lane in lanes
-            if lane.pending == 0 and not lane.policy.halted
-            and lane.used < lane.budget
-        ]
-        while work:
-            for lane in work:
-                chunk = lane.budget - lane.used
-                if lane.interval:
-                    chunk = min(chunk, lane.interval)
-                lane.chunk = chunk
-                lane.ckpt_before = lane.policy.stats.checkpoint_cycles
-            scalar = [
-                lane for lane in work
-                if getattr(lane.policy, "scalar_chunks", False)
-            ]
-            grouped = [
-                lane for lane in work
-                if not getattr(lane.policy, "scalar_chunks", False)
-            ]
-            plain = [lane for lane in grouped if lane.interval is None]
-            clank = [lane for lane in grouped if lane.interval is not None]
-            if plain:
-                self._run_plain_chunks(plain)
-            if clank:
-                self._run_clank_chunks(clank)
-            for lane in scalar:
-                # Policies with a second event horizon (progress) run
-                # their own scalar chunk loop per lane; they still share
-                # the record's memoized WAR verdicts and batch index.
-                lane.ran = lane.policy.run_chunk(lane.chunk)
-            nxt: List[_Lane] = []
-            for lane in work:
-                ran = lane.ran
-                ckpt_in_chunk = (
-                    lane.policy.stats.checkpoint_cycles - lane.ckpt_before
+        if not supply.on:
+            if fast_charge:
+                charge_until_on_fast(supply, energies)
+            else:
+                supply.charge_until_on()
+            armed_before = skim.armed
+            pending_overhead = policy.on_restore()
+            pending_kind = "restore"
+            took_skim = armed_before and not skim.armed
+            if traced:
+                TRACER.emit(
+                    "restore", tick=supply.tick, cost=pending_overhead,
+                    runtime=policy.name, skim=took_skim, engine="replay",
                 )
-                lane.used += ran
-                lane.ledger.execute(ran - ckpt_in_chunk)
-                if ckpt_in_chunk:
-                    lane.ledger.overhead("checkpoint", ckpt_in_chunk)
-                    lane.ledger.commit()
-                overhead = lane.policy.on_tick(ran)
-                if overhead:
-                    paid = min(overhead, lane.budget - lane.used)
-                    lane.used += paid
-                    lane.pending = overhead - paid
-                    lane.pending_kind = "checkpoint"
-                    lane.ledger.overhead("checkpoint", paid)
-                    lane.ledger.commit()
-                if ran == 0:
-                    continue
-                if (
-                    lane.pending == 0 and not lane.policy.halted
-                    and lane.used < lane.budget
-                ):
-                    nxt.append(lane)
-            work = nxt
+            if took_skim:
+                return (
+                    policy.resume_position, policy.skim_redirect,
+                    pending_overhead,
+                ), False
+            # Forward-progress guard, keyed on the resume position: the
+            # stream is deterministic, so equal positions mean the
+            # identical architectural state the live executor
+            # fingerprints with (pc, registers).
+            signature = policy.resume_position
+            if signature == last_restore_signature:
+                stalled_restores += 1
+                if stalled_restores >= STALLED_RESTORE_LIMIT:
+                    raise ProgressStall(
+                        _LIVELOCK_MESSAGE,
+                        position=policy.resume_position,
+                        tick=supply.tick, runtime=policy.name,
+                    )
+            else:
+                stalled_restores = 0
+                last_restore_signature = signature
 
-        # Phase 3: the Hibernus snapshot, energy draw, end-of-tick
-        # bookkeeping and outage handling. Forward-progress stalls
-        # demote their lane only.
-        for lane in lanes:
-            try:
-                if lane.reserved and not lane.policy.halted:
-                    snap = min(lane.jit(), lane.reserved)
-                    lane.used += snap
-                    if snap:
-                        lane.ledger.overhead("checkpoint", snap)
-                        lane.ledger.commit()
-                lane.supply.consume_cycles(lane.used)
-                if lane.supply.finish_tick():
-                    if lane.used == 0:
-                        lane.idle += 1
-                        if lane.idle >= IDLE_TICK_LIMIT:
-                            raise ProgressStall(
-                                f"forward-progress stall: {IDLE_TICK_LIMIT} "
-                                "consecutive powered ticks executed zero "
-                                "cycles; the stored energy cannot cover the "
-                                "next instruction. Enlarge the storage "
-                                "capacitor or weaken the workload.",
-                                position=lane.policy.cursor,
-                                tick=lane.supply.tick,
-                                runtime=lane.policy.name,
-                            )
-                    else:
-                        lane.idle = 0
-                else:
-                    lane.idle = 0
-                    lane.pending = 0
-                    if lane.volatile and not lane.policy.halted:
-                        lane.ledger.discard()
-                    else:
-                        lane.ledger.commit()
-                    lane.policy.on_outage()
-                    # A halted lane resolves at the next round's head,
-                    # exactly like the scalar loop's post-outage break.
-            except _DEMOTE:
-                lane.state = _DEMOTED
+        budget = supply.begin_tick()
+        used = 0
+        if pending_overhead:
+            paid = min(pending_overhead, budget)
+            pending_overhead -= paid
+            used = paid
+            ledger.overhead(pending_kind, paid)
 
-    # -- chunk advancement ----------------------------------------------------
+        reserved = 0
+        if jit_snapshot is not None and supply.tick_energy_limited:
+            reserved = min(policy.snapshot_cycles, budget - used)
+            budget -= reserved
+        while pending_overhead == 0 and not policy.halted and used < budget:
+            chunk = budget - used
+            if interval:
+                chunk = min(chunk, interval)
+            # Clank-style policies charge WAR checkpoints inside
+            # run_chunk (the twin of the live store hook); the stats
+            # delta separates them from program progress.
+            ckpt_before = policy.stats.checkpoint_cycles
+            ran = policy.run_chunk(chunk)
+            ckpt_in_chunk = policy.stats.checkpoint_cycles - ckpt_before
+            used += ran
+            ledger.execute(ran - ckpt_in_chunk)
+            if ckpt_in_chunk:
+                ledger.overhead("checkpoint", ckpt_in_chunk)
+                ledger.commit()
+            overhead = policy.on_tick(ran)
+            if overhead:
+                paid = min(overhead, budget - used)
+                used += paid
+                pending_overhead = overhead - paid
+                pending_kind = "checkpoint"
+                ledger.overhead("checkpoint", paid)
+                ledger.commit()
+            if ran == 0:
+                break
+        if reserved and not policy.halted:
+            snap = min(jit_snapshot(), reserved)
+            used += snap
+            if snap:
+                ledger.overhead("checkpoint", snap)
+                ledger.commit()
+        supply.consume_cycles(used)
 
-    def _run_plain_chunks(self, lanes: List[_Lane]) -> None:
-        """Default ``ReplayPolicy.run_chunk`` for all lanes at once."""
-        record = self.record
-        requests = [
-            (lane.policy.cursor, record.length, lane.chunk) for lane in lanes
-        ]
-        for lane, (j, cost) in zip(
-            lanes, advance_lanes(record, self.index, requests)
-        ):
-            policy = lane.policy
-            cursor = policy.cursor
-            if j != cursor:
-                policy._cross(cursor, j)
-                policy.cursor = j
-                if j > policy.max_position:
-                    policy.max_position = j
-            lane.ran = cost
-
-    def _run_clank_chunks(self, lanes: List[_Lane]) -> None:
-        """``ClankReplayPolicy.run_chunk`` transcribed over lane groups.
-
-        Each round answers every lane's WAR horizon (memoized on the
-        record, one-shot via the batch index) and performs one batched
-        segment advance; lanes drop out of the round loop exactly where
-        the scalar loop would ``break``."""
-        record = self.record
-        index = self.index
-        cum = record.cum_cost
-        pcs = record.pcs
-        peek = record.peek_costs
-        n = record.length
-        for lane in lanes:
-            lane._cur = lane.policy.cursor
-            lane._consumed = 0
-        segment = list(lanes)
-        while segment:
-            keep: List[_Lane] = []
-            advancing: List[_Lane] = []
-            requests = []
-            for lane in segment:
-                cursor = lane._cur
-                remaining = lane.chunk - lane._consumed
-                if cursor >= n or remaining <= 0:
-                    continue  # the scalar while/remaining exits
-                limit = cursor + remaining + 1
-                if limit > n:
-                    limit = n
-                war = record.next_war_before(
-                    lane.policy.checkpoint_pos, limit
+        if supply.finish_tick():
+            if used == 0:
+                idle_ticks += 1
+                if idle_ticks >= IDLE_TICK_LIMIT:
+                    raise ProgressStall(
+                        f"forward-progress stall: {IDLE_TICK_LIMIT} "
+                        "consecutive powered ticks executed zero "
+                        "cycles; the stored energy cannot cover the "
+                        "next instruction. Enlarge the storage "
+                        "capacitor or weaken the workload.",
+                        position=policy.cursor, tick=supply.tick,
+                        runtime=policy.name,
+                    )
+            else:
+                idle_ticks = 0
+        else:
+            idle_ticks = 0
+            pending_overhead = 0
+            if volatile and not policy.halted:
+                ledger.discard()
+            else:
+                ledger.commit()
+            policy.on_outage()
+            if traced:
+                TRACER.emit(
+                    "outage", tick=supply.tick, runtime=policy.name,
+                    engine="replay",
                 )
-                lane._war = war
-                lane._stop = war if war < limit else limit
-                lane._adv = None
-                keep.append(lane)
-                if cursor < lane._stop:
-                    advancing.append(lane)
-                    requests.append((cursor, lane._stop, remaining))
-            if requests:
-                for lane, result in zip(
-                    advancing, advance_lanes(record, index, requests)
-                ):
-                    lane._adv = result
-            segment = []
-            for lane in keep:
-                policy = lane.policy
-                if lane._adv is not None:
-                    j, cost = lane._adv
-                    lane._consumed += cost
-                    if j != lane._cur:
-                        policy._cross(lane._cur, j)
-                        lane._cur = j
-                    if j < lane._stop:
-                        continue  # budget exhausted inside the segment
-                if lane._cur >= n or lane._cur != lane._war:
-                    continue  # halted, or only the horizon stopped us
-                if lane._consumed + peek[pcs[lane._cur]] > lane.chunk:
-                    continue  # the WAR store itself no longer fits
-                lane._consumed += (
-                    cum[lane._cur + 1] - cum[lane._cur]
-                ) + policy.checkpoint_cycles
-                policy.stats.war_violations += 1
-                policy.stats.checkpoints += 1
-                policy.stats.checkpoint_cycles += policy.checkpoint_cycles
-                policy.checkpoint_pos = lane._cur
-                policy._war_in_chunk = True
-                lane._cur += 1
-                segment.append(lane)
-        for lane in lanes:
-            policy = lane.policy
-            policy.cursor = lane._cur
-            if lane._cur > policy.max_position:
-                policy.max_position = lane._cur
-            lane.ran = lane._consumed
+    return None, False
+
+
+def finish_replay_run(
+    kernel,
+    record: ReplayRecord,
+    inputs,
+    args: Dict,
+    supply: PowerSupply,
+    policy: ReplayPolicy,
+    skim: SkimRegister,
+    ledger: ProgressLedger,
+    skim_cut: Optional[tuple],
+    timed_out: bool,
+) -> IntermittentRun:
+    """Turn one finished lane walk into an :class:`IntermittentRun`.
+
+    Output materialization, the skim handoff to live interpretation,
+    stats merging and result assembly. ``args`` is the lane's entry of
+    :func:`run_batch_group`'s ``lane_args``. Must run one lane at a
+    time — ``materialize_cpu`` resets the record's cached CPU in place."""
+    start_tick = args["start_tick"]
+    if skim_cut is None:
+        completed = policy.halted
+        if completed:
+            outputs = {k: list(v) for k, v in record.final_outputs.items()}
+        else:
+            watermark = policy.max_position
+            cpu = record.materialize_cpu(kernel, inputs, watermark, watermark)
+            outputs = kernel.read_outputs(cpu)
+        ledger.close()
+        result = RunResult(
+            completed=completed,
+            skim_taken=False,
+            timed_out=timed_out,
+            wall_ms=supply.tick - start_tick,
+            on_ms=supply.total_on_ms,
+            off_ms=supply.total_off_ms,
+            active_cycles=supply.total_cycles,
+            outages=supply.outages,
+            runtime_stats=policy.stats,
+            ledger=ledger,
+        )
+        return IntermittentRun(outputs=outputs, result=result)
+
+    # Skim handoff: rebuild the concrete state at the cut and run the
+    # rest live. Memory reflects the furthest position ever executed
+    # (re-executed stores rewrite identical values); the registers are
+    # the checkpoint's, and the PC jumps to the consumed skim target.
+    cut, target, pending = skim_cut
+    cpu = record.materialize_cpu(kernel, inputs, cut, policy.max_position)
+    checkpoint = Checkpoint.from_cpu(cpu)
+    cpu.pc = target
+    cpu.halted = False
+    live_runtime = _make_handoff_runtime(
+        args["runtime"], skim, args.get("watchdog_cycles"), kernel
+    )
+    live = IntermittentExecutor(cpu, supply, live_runtime)
+    if hasattr(live_runtime, "checkpoint"):
+        # The live runtime's entry checkpoint must be the *pre-skim*
+        # checkpoint: a skim jump does not move the backup location, so
+        # an outage before the next checkpoint rewinds behind the skim
+        # target (exactly what the live path does).
+        live_runtime.checkpoint = checkpoint
+    elapsed = supply.tick - start_tick
+    # The live suffix books into this lane's ledger, so re-execution
+    # debt queued before the cut is repaid (as ``reexec``) exactly as
+    # in one uninterrupted interpreter run.
+    handoff = live.run(
+        max_wall_ms=args["max_wall_ms"] - elapsed, carry_overhead=pending,
+        ledger=ledger,
+    )
+    _merge_stats(policy.stats, handoff.runtime_stats)
+    result = RunResult(
+        completed=handoff.completed,
+        skim_taken=True,
+        timed_out=handoff.timed_out,
+        wall_ms=supply.tick - start_tick,
+        on_ms=supply.total_on_ms,
+        off_ms=supply.total_off_ms,
+        active_cycles=supply.total_cycles,
+        outages=supply.outages,
+        runtime_stats=policy.stats,
+        ledger=ledger,
+    )
+    return IntermittentRun(outputs=kernel.read_outputs(cpu), result=result)
+
+
+def _fallback_reason(exc: Exception) -> str:
+    kind = "diverged" if isinstance(exc, ReplayDiverged) else "stalled"
+    return f"{kind}: {exc}"
 
 
 def run_batch_group(
@@ -402,40 +397,67 @@ def run_batch_group(
     inputs,
     lane_args: List[Dict],
 ) -> List[Optional[IntermittentRun]]:
-    """Run one configuration's samples as a lane batch.
+    """Run one configuration's samples as replay lanes over ``record``.
 
     ``lane_args`` is one dict per sample with keys ``trace``,
     ``runtime``, ``capacitor``, ``energy_model``, ``start_tick``,
-    ``max_wall_ms`` and (for clank) ``watchdog_cycles``. Returns one
-    :class:`IntermittentRun` per sample in order, with ``None`` for
-    demoted lanes the caller must re-run on the per-sample path.
+    ``max_wall_ms`` and (for clank/progress) ``watchdog_cycles``.
+    Returns one :class:`IntermittentRun` per sample in order, with
+    ``None`` for demoted lanes the caller must run on the interpreter.
+    Under ``REPRO_TRACE`` each demotion emits a ``replay_fallback``
+    event with its reason. An armed sample deadline
+    (:func:`~repro.runtime.executor.set_sample_deadline`) is polled once
+    per simulated millisecond and raises
+    :class:`~repro.errors.SampleTimeout` out of the walk.
     """
-    if not lane_args:
-        return []
-    if not record.replayable or TRACER.enabled:
-        # Event tracing hooks live in the scalar paths only; a batch
-        # walk would silently drop its emissions.
+    traced = TRACER.enabled
+    if not record.replayable:
+        if traced:
+            for _args in lane_args:
+                TRACER.emit(
+                    "replay_fallback", reason=f"not-replayable: {record.reason}"
+                )
         return [None] * len(lane_args)
-    if record.batch is None:
+    if lane_args and record.batch is None:
         index = build_batch_index(record)
         record.batch = index if index is not None else False
-    lanes = [_Lane(record, args, kernel) for args in lane_args]
-    BatchReplayExecutor(record, lanes).run()
-
-    results: List[Optional[IntermittentRun]] = []
-    for lane in lanes:
-        if lane.state == _DEMOTED:
-            results.append(None)
-            continue
+    timed = sample_deadline_armed()
+    walked = []
+    for args in lane_args:
+        skim = SkimRegister()
+        policy = _make_policy(
+            args["runtime"], record, skim, args.get("watchdog_cycles"), kernel
+        )
+        supply = PowerSupply(
+            args["trace"], args["capacitor"], args["energy_model"],
+            start_tick=args["start_tick"],
+        )
+        ledger = ProgressLedger()
         try:
-            results.append(
-                finish_replay_run(
-                    kernel, record, inputs, lane.runtime,
-                    lane.watchdog_cycles, lane.supply, lane.policy,
-                    lane.skim, lane.ledger, lane.skim_cut,
-                    lane.timed_out, lane.start_tick, lane.max_wall_ms,
-                )
+            skim_cut, timed_out = _walk(
+                supply, policy, skim, ledger, trace_energy_array(args["trace"]),
+                args["max_wall_ms"], traced, timed,
             )
-        except ReplayDiverged:
-            results.append(None)
-    return results
+        except _DEMOTE as exc:
+            if traced:
+                TRACER.emit("replay_fallback", reason=_fallback_reason(exc))
+            walked.append(None)
+        else:
+            walked.append(
+                (args, supply, policy, skim, ledger, skim_cut, timed_out)
+            )
+    # Lanes finish after every walk: materialization then runs back to
+    # back over the record's keyframe images, measured ~8% faster than
+    # finishing each lane right after its own walk.
+    runs: List[Optional[IntermittentRun]] = []
+    for lane in walked:
+        try:
+            runs.append(
+                None if lane is None
+                else finish_replay_run(kernel, record, inputs, *lane)
+            )
+        except _DEMOTE as exc:
+            if traced:
+                TRACER.emit("replay_fallback", reason=_fallback_reason(exc))
+            runs.append(None)
+    return runs

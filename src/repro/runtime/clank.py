@@ -16,7 +16,8 @@ current approximate output is accepted as-is.
 
 from __future__ import annotations
 
-from typing import Optional, Set
+from bisect import bisect_left
+from typing import Optional, Sequence, Set
 
 from ..observability.tracer import TRACER
 from ..sim.cpu import CPU
@@ -145,9 +146,18 @@ class ClankReplayPolicy(ReplayPolicy):
     *before* the violating store, every segment a restore rewinds into
     is idempotent, and re-execution consumes the same recorded
     positions and costs as the first pass.
+
+    This walk is the only statement of the WAR rule on the replay
+    side. Subclasses add a second event horizon through
+    :attr:`output_positions`: stores that commit progress instead of
+    meeting the WAR check, charged by :meth:`_progress_commit` (Clank
+    itself has none).
     """
 
     name = "clank"
+    #: Sorted stream positions whose store commits progress (see
+    #: :class:`~repro.runtime.progress.ProgressReplayPolicy`).
+    output_positions: Sequence[int] = ()
 
     def __init__(
         self,
@@ -171,18 +181,22 @@ class ClankReplayPolicy(ReplayPolicy):
         self._war_in_chunk = False
 
     def run_chunk(self, budget: int) -> int:
-        """Advance in WAR-free segments, checkpointing at each violation."""
+        """Advance in event-free segments, committing at each event: a
+        WAR violation (full checkpoint) or an output-position store
+        (progress commit)."""
         record = self.record
         cum = record.cum_cost
         n = record.length
         cursor = self.cursor
         consumed = 0
+        positions = self.output_positions
+        count = len(positions)
         while cursor < n:
             remaining = budget - consumed
             if remaining <= 0:
-                # A WAR checkpoint may overrun the budget (the live
-                # path charges it through the store hook, past the
-                # commit check); nothing further fits this chunk.
+                # A commit may overrun the budget (the live path charges
+                # it through the store hook, past the commit check);
+                # nothing further fits this chunk.
                 break
             # Every instruction costs at least one cycle, so this chunk
             # cannot advance past ``limit``; the WAR scan stops there.
@@ -190,7 +204,13 @@ class ClankReplayPolicy(ReplayPolicy):
             if limit > n:
                 limit = n
             war = record.next_war_before(self.checkpoint_pos, limit)
-            stop = war if war < limit else limit
+            out_pos = n
+            if count:
+                k = bisect_left(positions, cursor)
+                if k < count:
+                    out_pos = positions[k]
+            event = war if war < out_pos else out_pos
+            stop = event if event < limit else limit
             if cursor < stop:
                 j, cost = record.advance(cursor, stop, remaining)
                 consumed += cost
@@ -199,22 +219,26 @@ class ClankReplayPolicy(ReplayPolicy):
                     cursor = j
                 if j < stop:
                     break  # budget exhausted inside the segment
-            if cursor >= n or cursor != war:
+            if cursor >= n or cursor != event:
                 break  # halted, or only the horizon stopped the advance
-            # The WAR-violating store at ``cursor``: commits only if its
-            # worst-case cost fits, then carries the checkpoint cost on
-            # top (charged through the store hook in the live runtime).
+            # The event store at ``cursor``: commits only if its worst-
+            # case cost fits, then carries the commit cost on top
+            # (charged through the store hook in the live runtime).
             if consumed + record.peek_costs[record.pcs[cursor]] > budget:
                 break
-            consumed += (cum[cursor + 1] - cum[cursor]) + self.checkpoint_cycles
-            self.stats.war_violations += 1
+            if cursor == out_pos:
+                cause, commit = "progress", self._progress_commit()
+            else:
+                cause, commit = "war", self.checkpoint_cycles
+                self.stats.war_violations += 1
+            consumed += (cum[cursor + 1] - cum[cursor]) + commit
             self.stats.checkpoints += 1
-            self.stats.checkpoint_cycles += self.checkpoint_cycles
+            self.stats.checkpoint_cycles += commit
             self.checkpoint_pos = cursor
             self._war_in_chunk = True
             if TRACER.enabled:
                 TRACER.emit(
-                    "checkpoint", cause="war", cost=self.checkpoint_cycles,
+                    "checkpoint", cause=cause, cost=commit,
                     position=cursor, runtime=self.name, engine="replay",
                 )
             cursor += 1
@@ -222,6 +246,12 @@ class ClankReplayPolicy(ReplayPolicy):
         if cursor > self.max_position:
             self.max_position = cursor
         return consumed
+
+    def _progress_commit(self) -> int:
+        """Book one progress commit; returns its cost in cycles. Only
+        reached through :attr:`output_positions`, which Clank leaves
+        empty."""
+        raise NotImplementedError
 
     def on_tick(self, cycles_executed: int) -> int:
         """Advance the watchdog exactly as the live runtime would."""

@@ -53,6 +53,12 @@ def set_sample_deadline(deadline: Optional[float]) -> None:
     _SAMPLE_DEADLINE = deadline
 
 
+def sample_deadline_armed() -> bool:
+    """True while a per-sample deadline is armed (read once per replay
+    group, so the lane walk polls only when it must)."""
+    return _SAMPLE_DEADLINE is not None
+
+
 def check_sample_deadline(tick: int) -> None:
     """Raise :class:`~repro.errors.SampleTimeout` if the armed deadline
     passed; no-op (one ``is None`` test) when no deadline is armed."""
@@ -96,13 +102,20 @@ class IntermittentExecutor:
         #: True if the core loses register state on outage (Clank-style).
         self.volatile_core = runtime.name != "nvp"
 
-    def run(self, max_wall_ms: int = 10_000_000, carry_overhead: int = 0) -> RunResult:
+    def run(
+        self,
+        max_wall_ms: int = 10_000_000,
+        carry_overhead: int = 0,
+        ledger: Optional[ProgressLedger] = None,
+    ) -> RunResult:
         """Run to halt, timeout or exhaustion.
 
-        ``carry_overhead`` pre-loads the pending-overhead account: the
-        replay engine's skim handoff uses it to charge the restore cost
-        of the restore that consumed the skim register (which happened
-        on the replay side, before this executor took over)."""
+        ``carry_overhead`` pre-loads the pending-overhead account and
+        ``ledger`` continues an existing attribution: the replay
+        engine's skim handoff passes the restore cost of the restore
+        that consumed the skim register (which happened on the replay
+        side, before this executor took over) and its own ledger, whose
+        re-execution debt this run then repays."""
         cpu = self.cpu
         supply = self.supply
         runtime = self.runtime
@@ -118,7 +131,8 @@ class IntermittentExecutor:
         # unpaid remainder of the replay-side restore that consumed the
         # skim register, so the account opens as restore cost.
         pending_kind = "restore"
-        ledger = ProgressLedger()
+        if ledger is None:
+            ledger = ProgressLedger()
         timed_out = False
         stalled_restores = 0
         idle_ticks = 0

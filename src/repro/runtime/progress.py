@@ -24,7 +24,6 @@ samples are bit-exact against the interpreter path.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from typing import List, Optional, Sequence, Tuple
 
 from ..observability.tracer import TRACER
@@ -64,7 +63,8 @@ def output_store_positions(
     """Sorted stream positions whose store lands inside an output slot.
 
     One pass over the record's store log, memoized on the record per
-    ranges tuple — every lane of a batched run shares the verdict."""
+    ranges tuple — every replay lane of the configuration shares the
+    verdict."""
     key = tuple(ranges)
     memo = record._progress_memo
     positions = memo.get(key)
@@ -162,9 +162,6 @@ class ProgressReplayPolicy(ClankReplayPolicy):
     """
 
     name = "progress"
-    #: The batch executor runs this policy's chunks per-lane (the clank
-    #: lane-group transcription does not model the second event kind).
-    scalar_chunks = True
 
     def __init__(
         self,
@@ -186,63 +183,8 @@ class ProgressReplayPolicy(ClankReplayPolicy):
         self.output_positions = list(output_positions)
         self.commit_cycles = commit_cycles
 
-    def run_chunk(self, budget: int) -> int:
-        """Advance in event-free segments, committing at each event."""
-        record = self.record
-        cum = record.cum_cost
-        n = record.length
-        cursor = self.cursor
-        consumed = 0
-        positions = self.output_positions
-        count = len(positions)
-        while cursor < n:
-            remaining = budget - consumed
-            if remaining <= 0:
-                break
-            limit = cursor + remaining + 1
-            if limit > n:
-                limit = n
-            war = record.next_war_before(self.checkpoint_pos, limit)
-            k = bisect_left(positions, cursor)
-            out_pos = positions[k] if k < count else n
-            event = war if war < out_pos else out_pos
-            stop = event if event < limit else limit
-            if cursor < stop:
-                j, cost = record.advance(cursor, stop, remaining)
-                consumed += cost
-                if j != cursor:
-                    self._cross(cursor, j)
-                    cursor = j
-                if j < stop:
-                    break  # budget exhausted inside the segment
-            if cursor >= n or cursor != event:
-                break  # halted, or only the horizon stopped the advance
-            # The event store at ``cursor`` commits only if its worst-
-            # case cost fits, then carries the commit cost on top
-            # (charged through the store hook in the live runtime).
-            if consumed + record.peek_costs[record.pcs[cursor]] > budget:
-                break
-            is_progress = cursor == out_pos
-            cost_cycles = self.commit_cycles if is_progress else self.checkpoint_cycles
-            consumed += (cum[cursor + 1] - cum[cursor]) + cost_cycles
-            self.stats.checkpoints += 1
-            self.stats.checkpoint_cycles += cost_cycles
-            if is_progress:
-                extra = self.stats.extra
-                extra["progress_commits"] = extra.get("progress_commits", 0) + 1
-                cause = "progress"
-            else:
-                self.stats.war_violations += 1
-                cause = "war"
-            self.checkpoint_pos = cursor
-            self._war_in_chunk = True
-            if TRACER.enabled:
-                TRACER.emit(
-                    "checkpoint", cause=cause, cost=cost_cycles,
-                    position=cursor, runtime=self.name, engine="replay",
-                )
-            cursor += 1
-        self.cursor = cursor
-        if cursor > self.max_position:
-            self.max_position = cursor
-        return consumed
+    def _progress_commit(self) -> int:
+        """Book one cheap progress commit; returns its cost."""
+        extra = self.stats.extra
+        extra["progress_commits"] = extra.get("progress_commits", 0) + 1
+        return self.commit_cycles

@@ -1,22 +1,23 @@
 """Job preparation and execution for the experiment service.
 
 These functions run in the service's worker threads, not on the event
-loop: :func:`prepare` does the (cached) calibration work needed to
-fingerprint a job, and :func:`compute` evaluates a cache miss with the
-same engine stack every other entry point uses — the batched replay
-engine first (one commit-log walk for the whole trace x invocation
-grid), demoting individual samples to the replay/interpreter paths
-exactly as ``REPRO_BATCH=1`` would. Results are therefore bit-identical
-to a serial CLI run of the same configuration, which is what lets the
-store serve them to everyone.
+loop: :func:`prepare` rejects jobs that cannot compile and does the
+(cached) calibration work needed to fingerprint a job, and
+:func:`compute` evaluates a cache miss on the replay engine (one
+commit-log walk for the whole trace x invocation grid), sending any
+sample it cannot reproduce exactly to the interpreter, as
+``REPRO_REPLAY=1`` does. Results are therefore bit-identical to a
+serial CLI run of the same configuration, which is what lets the store
+serve them to everyone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from threading import Lock
 from typing import Callable, Dict, Optional, Tuple
 
+from ..compiler.passes.swv import SWV_WIDTHS
 from ..experiments.common import (
     BenchmarkResult,
     Environment,
@@ -56,18 +57,34 @@ class JobContext:
 def prepare(spec: JobSpec) -> JobContext:
     """Validate a spec and resolve its fingerprint + calibrated setup.
 
-    Runs the workload's precise build once (cached per process) to size
-    the storage capacitor — the same calibration every experiment
-    module performs — so the fingerprint matches what a direct
+    Rejects a mode the workload's technique cannot compile and SWV
+    bits the compiler cannot pack (before the server journals the job),
+    and drops ``bits`` from precise jobs, which ignore it, so equal work
+    shares one fingerprint. Runs the
+    workload's precise build once (cached per process) to size the
+    storage capacitor — the same calibration every experiment module
+    performs — so the fingerprint matches what a direct
     :func:`~repro.experiments.common.run_benchmark` of the same
     configuration would use."""
     spec.validate()
+    if spec.mode == "precise" and spec.bits is not None:
+        spec = replace(spec, bits=None)
     wkey = (spec.workload, spec.scale)
     with _cache_lock:
         workload = _workloads.get(wkey)
         if workload is None:
             workload = _workloads[wkey] = make_workload(spec.workload, spec.scale)
         cycles = _precise_cycles.get(wkey)
+    if spec.mode not in ("precise", workload.technique):
+        raise ValueError(
+            f"{spec.workload} is a {workload.technique} kernel; "
+            f"mode {spec.mode!r} cannot compile it"
+        )
+    if spec.mode == "swv" and spec.bits not in SWV_WIDTHS:
+        raise ValueError(
+            f"invalid bits {spec.bits!r} for mode 'swv' "
+            f"(SWV packs {' or '.join(map(str, SWV_WIDTHS))}-bit subwords)"
+        )
     if cycles is None:
         cycles = measure_precise_cycles(workload)
         with _cache_lock:
@@ -105,14 +122,14 @@ def compute(
     """Evaluate one cache miss; returns the store payload.
 
     When ``progress`` is given, the grid's **first sample** is executed
-    eagerly on the scalar path and reported as a ``level-k`` event
-    before the batched full-grid pass starts — that sample *is* the
+    eagerly on the interpreter and reported as a ``level-k`` event
+    before the replayed full-grid pass starts — that sample *is* the
     paper's anytime answer (output accepted at a skim point when one is
     armed), so a client holds a usable approximation while the other
-    ``trace_count x invocations - 1`` samples refine it. The batch pass
-    recomputes that lane bit-identically (enforced by the engine
-    differential suite), so the preview costs one scalar sample and
-    changes nothing in the final result."""
+    ``trace_count x invocations - 1`` samples refine it. The replay
+    pass recomputes that lane bit-identically (enforced by the engine
+    differential suite), so the preview costs one interpreted sample
+    and changes nothing in the final result."""
     spec = ctx.spec
     specs = _sample_specs(
         ctx.workload, spec.mode, spec.bits, spec.runtime,
@@ -131,5 +148,5 @@ def compute(
     result = BenchmarkResult(spec.workload, spec.mode, spec.bits, spec.runtime)
     result.runs.extend(_run_config_group(specs))
     payload = _store_payload(result, ctx.fingerprint, spec.scale, ctx.setup)
-    _finish_result(result, ctx.setup)
+    _finish_result(result, ctx.setup, engine="replay")
     return payload

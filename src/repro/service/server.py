@@ -15,7 +15,7 @@ localhost TCP. The scheduler's contract:
 * **Anytime streaming.** A computing job publishes a ``level-k``
   progressive event as soon as the grid's first sample lands — the
   paper's skim-point answer, served before refinement — and the final
-  ``result`` event once the full grid (batch engine preferred) is
+  ``result`` event once the full grid (on the replay engine) is
   merged and persisted to the store.
 * **Durable accepts.** With a job journal armed (``REPRO_JOURNAL`` or
   ``serve --journal``), every accepted compute is appended to the

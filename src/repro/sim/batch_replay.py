@@ -1,18 +1,12 @@
-"""Vectorized kernels for the lane-parallel batched replay backend.
+"""Vectorized helpers for the replay engine.
 
-The batch executor (:mod:`repro.runtime.batch_executor`) walks one
-commit log while advancing N lane cursors — one per (trace, offset)
-intermittent sample. Its per-lane bookkeeping stays scalar Python on
-the *real* power/policy objects (bit-exactness by construction); the
-three data-parallel hot spots live here, each with a proof obligation
-that its result is identical — not just close — to the scalar code it
+The replay engine (:mod:`repro.runtime.batch_executor`) walks one
+commit log for every (trace, offset) intermittent sample of a
+configuration. Its per-lane bookkeeping stays scalar Python on the
+*real* power/policy objects (bit-exactness by construction); the two
+data-parallel hot spots live here, each with a proof obligation that
+its result is identical — not just close — to the scalar code it
 replaces:
-
-* :func:`advance_lanes` — the cycle prefix-sum bisect of
-  :meth:`repro.sim.replay.ReplayRecord.advance`, batched with one
-  ``np.searchsorted`` across lanes. Identical because for a sorted
-  array ``bisect_right(a, x, lo, hi) == min(max(bisect_right(a, x),
-  lo), hi)``, and the one-cycle boundary fix is re-applied per lane.
 
 * :class:`BatchIndex.war_from <BatchIndex>` — Clank's write-after-read
   scan, answered in O(access rows) from a byte-expanded prev-store /
@@ -20,7 +14,7 @@ replaces:
   each byte, a WAR trigger from start ``s`` exists iff the first access
   at/after ``s`` is a load whose previous store lies before ``s``; the
   trigger is that load's next store. The verdict feeds the record's
-  ordinary ``_war_memo``, so scalar and batched paths share memoized,
+  ordinary ``_war_memo``, so every lane and policy shares memoized,
   identical integers.
 
 * :func:`charge_until_on_fast` — the supply's off-phase charge loop
@@ -31,14 +25,13 @@ replaces:
   at the crossing lands on the identical stored energy.
 
 numpy is optional: every entry point degrades to the scalar code path
-when it is absent (or ``REPRO_BATCH_NUMPY=0`` forces the fallback), and
-the batch executor itself runs the same lane-cursor loop either way.
+when it is absent (or ``REPRO_BATCH_NUMPY=0`` forces the fallback).
 """
 
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional
 
 from ..power.supply import SupplyExhausted
 
@@ -49,10 +42,6 @@ except ImportError:  # pragma: no cover
 
 _LOAD = 1
 _STORE = 2
-
-#: Below this many lanes the fromiter/searchsorted overhead outweighs
-#: the per-lane bisects it replaces.
-MIN_VECTOR_LANES = 4
 
 
 def numpy_or_none():
@@ -154,53 +143,12 @@ def build_batch_index(record) -> Optional[BatchIndex]:
     return BatchIndex(record, np)
 
 
-def advance_lanes(
-    record,
-    index: Optional[BatchIndex],
-    requests: Sequence[Tuple[int, int, int]],
-) -> List[Tuple[int, int]]:
-    """Batched :meth:`ReplayRecord.advance`: (cursor, stop, budget) lanes.
-
-    Returns one (position, cost) per request, bit-identical to calling
-    ``record.advance`` per lane.
-    """
-    if index is None or len(requests) < MIN_VECTOR_LANES:
-        return [record.advance(c, s, b) for (c, s, b) in requests]
-    np = index.np
-    k = len(requests)
-    cursors = np.fromiter((r[0] for r in requests), np.int64, k)
-    budgets = np.fromiter((r[2] for r in requests), np.int64, k)
-    base = index.cum[cursors]
-    found = np.searchsorted(index.cum, base + budgets, side="right")
-
-    cum = record.cum_cost
-    pcs = record.pcs
-    peek = record.peek_costs
-    out: List[Tuple[int, int]] = []
-    for i, (cursor, stop, budget) in enumerate(requests):
-        if budget <= 0:
-            out.append((cursor, 0))
-            continue
-        bounded = int(found[i])
-        hi = stop + 1
-        if bounded > hi:
-            bounded = hi
-        elif bounded < cursor:
-            bounded = cursor
-        j = bounded - 1
-        lane_base = cum[cursor]
-        if j > cursor and cum[j] - lane_base == budget:
-            prev = j - 1
-            if peek[pcs[prev]] > cum[j] - cum[prev]:
-                j = prev
-        out.append((j, cum[j] - lane_base))
-    return out
-
-
 #: id(trace) -> (trace, per-ms harvested energy as float64 array). The
-#: strong trace reference keeps the id stable; a handful of traces exist
-#: per process.
+#: strong trace reference keeps the id stable. A grid has a handful of
+#: paper traces, but ``REPRO_FAULTS`` makes one trace per sample, so the
+#: cache is dropped whenever it reaches :data:`_ENERGY_CACHE_SIZE`.
 _ENERGY_CACHE: Dict[int, tuple] = {}
+_ENERGY_CACHE_SIZE = 64
 
 
 def trace_energy_array(trace):
@@ -214,6 +162,8 @@ def trace_energy_array(trace):
     arr = np.asarray(trace.samples, dtype=np.float64) * (
         trace.SAMPLE_MS / 1000.0
     )
+    if len(_ENERGY_CACHE) >= _ENERGY_CACHE_SIZE:
+        _ENERGY_CACHE.clear()
     _ENERGY_CACHE[id(trace)] = (trace, arr)
     return arr
 
@@ -228,8 +178,8 @@ def charge_until_on_fast(supply, energies, max_ms: int = 10_000_000) -> int:
     crossing), same tick/off-ms accounting, same
     :class:`SupplyExhausted` boundary (the scalar loop raises when the
     wait counter *exceeds* ``max_ms``, even if that harvest crossed the
-    threshold). On raise the supply state is torn; batch lanes demote
-    and re-run on fresh objects, so it is never observed.
+    threshold). On raise the supply state is torn; the lane demotes and
+    its sample re-runs on the interpreter, so it is never observed.
     """
     if supply.on:
         return 0

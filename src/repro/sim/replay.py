@@ -21,10 +21,11 @@ interpreter and captures a **commit log**:
   of live stepping;
 * skim-register arm events (``SKM`` retires) and the final outputs.
 
-The log is consumed by
-:class:`repro.runtime.replay_executor.ReplayExecutor`, which re-runs
-the intermittent executor's control flow against pre-recorded costs
-instead of interpreting instructions. The record is only marked
+The log is consumed by the replay engine
+(:func:`repro.runtime.batch_executor.run_batch_group`), which re-runs
+the intermittent executor's control flow for every sample of the
+configuration against pre-recorded costs instead of interpreting
+instructions. The record is only marked
 *replayable* when replay can be bit-exact: a plain functional-unit
 configuration (the multiplier memo table and zero-skipping make cycle
 costs depend on execution history, which re-execution after an outage
@@ -116,7 +117,7 @@ class ReplayRecord:
         self.replayable = True
         self.reason = ""
         #: Optional vectorized index (repro.sim.batch_replay.BatchIndex)
-        #: attached by the batch backend; None (or the False sentinel
+        #: attached by the replay engine; None (or the False sentinel
         #: when numpy is unavailable) falls back to the scalar scans.
         self.batch = None
         #: Output-store positions per output-range tuple, memoized for
@@ -185,7 +186,7 @@ class ReplayRecord:
         if batch:
             # The vectorized index answers the *unbounded* query in one
             # shot; memoize the verdict so every later call (from any
-            # lane or the scalar path) takes the O(1) branch above. The
+            # lane of any group) takes the O(1) branch above. The
             # verdicts are identical ints to what the incremental scan
             # would eventually converge on.
             final = batch.war_from(start)
@@ -306,7 +307,7 @@ class ReplayRecord:
         # Memory at a keyframe is a pure function of the keyframe, so
         # the store-log prefix [0, kf_pos) replays once per keyframe and
         # later materializations restore the snapshot bytes directly —
-        # the batched engine materializes many lanes per record.
+        # the replay engine materializes many lanes per record.
         snap = self._kf_images.get(index)
         if snap is None:
             for region, image in zip(cpu.memory.regions, self._mat_cache[3]):

@@ -49,7 +49,10 @@ from typing import Dict, Iterator, List, Optional
 #: every fingerprint (and the ``REPRO_RESUME`` key), so all existing
 #: cache entries become unreachable and recompute — stale caches
 #: self-invalidate instead of serving old-shape data.
-RESULT_SCHEMA_VERSION = 3  # v3: entries carry a content checksum (fsck)
+#: v3: entries carry a content checksum (fsck). v4: replayed samples
+#: book post-skim re-execution as ``reexec`` (as the interpreter does)
+#: and count as ``engine.replay``.
+RESULT_SCHEMA_VERSION = 4
 
 #: Environment variable naming the store's root directory.
 STORE_ENV = "REPRO_STORE"

@@ -1,14 +1,14 @@
-"""The lane-parallel batched replay backend must be bit-exact.
+"""The replay engine's lanes must be bit-exact.
 
-``REPRO_BATCH=1`` walks each configuration's commit log once for all
+``REPRO_REPLAY=1`` walks each configuration's commit log once for all
 its (trace, invocation) samples. Everything observable must match the
-per-sample engines: SampleRun fields vs the interpreter (the repo's
-differential bar), metrics and ledger buckets *exactly* vs the replay
-engine (which shares its overhead classification), byte-identical
-results between serial and ``REPRO_JOBS`` runs, and identical output
-with and without numpy. The vector kernels (WAR oracle, lane advance,
-charge fast-forward) are additionally checked one-to-one against the
-scalar code they replace.
+interpreter: SampleRun fields (the repo's differential bar), metrics
+and ledger buckets *exactly* (both engines classify useful/reexec/
+overhead identically, skim handoffs included), trace events, sample
+deadlines and fault-injected grids; results are byte-identical between
+serial and ``REPRO_JOBS`` runs, and identical with and without numpy.
+The vector kernels (WAR oracle, charge fast-forward) are additionally
+checked one-to-one against the scalar code they replace.
 """
 
 import pytest
@@ -27,7 +27,6 @@ from repro.power.energy import EnergyModel
 from repro.power.supply import PowerSupply, SupplyExhausted
 from repro.power.trace import PowerTrace
 from repro.sim.batch_replay import (
-    advance_lanes,
     build_batch_index,
     charge_until_on_fast,
     numpy_or_none,
@@ -50,8 +49,7 @@ def _environment(workload, setup):
 
 
 def _serial_env(monkeypatch):
-    for key in ("REPRO_JOBS", "REPRO_REPLAY", "REPRO_BATCH",
-                "REPRO_BATCH_NUMPY"):
+    for key in ("REPRO_JOBS", "REPRO_REPLAY", "REPRO_BATCH_NUMPY"):
         monkeypatch.delenv(key, raising=False)
 
 
@@ -63,8 +61,8 @@ def _grid_runs(workload, configs, runtime, setup, environment, reference):
 
 
 def _rollups(runs):
-    """(counters-sans-engine, observations, ledger) per sample — the
-    strict comparison the replay and batch engines must share."""
+    """(counters-sans-engine, histograms, ledger) per sample — the
+    strict comparison every engine and execution mode must share."""
     out = []
     for run in runs:
         counters = {
@@ -73,7 +71,7 @@ def _rollups(runs):
             if not k.startswith("engine.")
         }
         out.append(
-            (counters, (run.metrics or {}).get("observations"), run.ledger)
+            (counters, (run.metrics or {}).get("histograms"), run.ledger)
         )
     return out
 
@@ -92,14 +90,14 @@ class TestGridDifferential:
         ]
 
         interp = _grid_runs(workload, configs, "clank", setup, environment, reference)
-        monkeypatch.setenv("REPRO_BATCH", "1")
+        monkeypatch.setenv("REPRO_REPLAY", "1")
         _worker_records.clear()
         batch = _grid_runs(workload, configs, "clank", setup, environment, reference)
 
         assert len(interp) == 3 * setup.trace_count * setup.invocations
         assert batch == interp  # SampleRun dataclass: field-by-field equality
         batched = sum(
-            (run.metrics or {}).get("counters", {}).get("engine.batch", 0)
+            (run.metrics or {}).get("counters", {}).get("engine.replay", 0)
             for run in batch
         )
         assert batched == len(batch), "some samples demoted off the batch path"
@@ -119,7 +117,7 @@ class TestGridDifferential:
         interp = run_benchmark(
             workload, workload.technique, 8, runtime, setup, environment, reference
         )
-        monkeypatch.setenv("REPRO_BATCH", "1")
+        monkeypatch.setenv("REPRO_REPLAY", "1")
         _worker_records.clear()
         batch = run_benchmark(
             workload, workload.technique, 8, runtime, setup, environment, reference
@@ -127,29 +125,34 @@ class TestGridDifferential:
 
         assert batch.runs == interp.runs
 
-    def test_batch_matches_replay_rollups_exactly(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "workload_name, runtime", [("MatMul", "clank"), ("MLP", "progress")]
+    )
+    def test_replay_matches_interp_rollups_exactly(
+        self, monkeypatch, workload_name, runtime
+    ):
         """Metrics and ledger buckets — excluded from SampleRun equality
-        — must match the replay engine to the last integer and float:
-        both engines classify useful/reexec/overhead identically."""
+        — must match the interpreter to the last integer and float, on
+        grids whose samples take skims: the live suffix after a skim
+        handoff repays the re-execution debt the replay side queued."""
         _serial_env(monkeypatch)
         setup = _setup()
-        workload = make_workload("MatMul", setup.scale)
+        workload = make_workload(workload_name, setup.scale)
         environment = _environment(workload, setup)
         reference = workload.decoded_reference()
-        configs = [
-            ("precise", None), (workload.technique, 8), (workload.technique, 4)
-        ]
+        configs = [(workload.technique, 8), (workload.technique, 4)]
 
+        interp = _grid_runs(workload, configs, runtime, setup, environment, reference)
         monkeypatch.setenv("REPRO_REPLAY", "1")
         _worker_records.clear()
-        replay = _grid_runs(workload, configs, "clank", setup, environment, reference)
-        monkeypatch.delenv("REPRO_REPLAY")
-        monkeypatch.setenv("REPRO_BATCH", "1")
-        _worker_records.clear()
-        batch = _grid_runs(workload, configs, "clank", setup, environment, reference)
+        replay = _grid_runs(workload, configs, runtime, setup, environment, reference)
 
-        assert batch == replay
-        assert _rollups(batch) == _rollups(replay)
+        assert any(run.skim_taken for run in interp), "grid took no skims"
+        assert replay == interp
+        assert _rollups(replay) == _rollups(interp)
+        assert all(
+            run.metrics["counters"].get("engine.replay") == 1 for run in replay
+        )
 
     def test_batch_numpy_fallback_identical(self, monkeypatch):
         """REPRO_BATCH_NUMPY=0 (the no-numpy code path) changes nothing
@@ -161,7 +164,7 @@ class TestGridDifferential:
         reference = workload.decoded_reference()
         configs = [(workload.technique, 8), (workload.technique, 4)]
 
-        monkeypatch.setenv("REPRO_BATCH", "1")
+        monkeypatch.setenv("REPRO_REPLAY", "1")
         _worker_records.clear()
         vectored = _grid_runs(workload, configs, "clank", setup, environment, reference)
         monkeypatch.setenv("REPRO_BATCH_NUMPY", "0")
@@ -183,7 +186,7 @@ class TestGridDifferential:
             ("precise", None), (workload.technique, 8), (workload.technique, 4)
         ]
 
-        monkeypatch.setenv("REPRO_BATCH", "1")
+        monkeypatch.setenv("REPRO_REPLAY", "1")
         _worker_records.clear()
         serial = _grid_runs(workload, configs, "clank", setup, environment, reference)
         monkeypatch.setenv("REPRO_JOBS", "4")
@@ -225,6 +228,102 @@ class TestGridDifferential:
         assert run_batch_group(kernel, record, workload.inputs, []) == []
 
 
+class TestLaneWalkHooks:
+    """What the per-sample walk used to own: trace events, sample
+    deadlines and fault-injected traces, now served by the lanes."""
+
+    def test_traced_grid_accounts_every_sample(self, monkeypatch, tmp_path):
+        """Traced lanes run as one-lane groups: every sample's events sit
+        between its own sample_start/sample_end, nothing is orphaned,
+        and the traced samples equal the untraced ones."""
+        from repro.observability import TRACER, summarize_trace
+
+        _serial_env(monkeypatch)
+        monkeypatch.setenv("REPRO_REPLAY", "1")
+        setup = ExperimentSetup(scale="tiny", trace_count=3, invocations=2)
+        workload = make_workload("MatMul", setup.scale)
+        environment = _environment(workload, setup)
+        configs = [("precise", None), (workload.technique, 4)]
+        plain = {
+            runtime: _grid_runs(workload, configs, runtime, setup, environment, None)
+            for runtime in ("clank", "nvp")
+        }
+        _worker_records.clear()  # the traced run records (and says so)
+        path = tmp_path / "replay.jsonl"
+        TRACER.enable(str(path))
+        try:
+            traced = {
+                runtime: _grid_runs(
+                    workload, configs, runtime, setup, environment, None
+                )
+                for runtime in ("clank", "nvp")
+            }
+        finally:
+            TRACER.disable()
+
+        assert traced == plain
+        summary = summarize_trace(str(path))
+        assert len(summary.samples) == sum(len(runs) for runs in traced.values())
+        assert set(summary.engines) == {"replay"}
+        assert not summary.orphan_events
+        assert not summary.fallback_reasons
+        assert summary.event_counts["record_run"] == 2
+        assert summary.outages == sum(
+            run.outages for runs in traced.values() for run in runs
+        )
+        assert summary.outages == sum(s.outages for s in summary.samples)
+
+    def test_sample_timeout_raises_inside_lane_walk(self, monkeypatch):
+        """An expired REPRO_SAMPLE_TIMEOUT deadline stops the lane walk
+        itself with a typed SampleTimeout — it is not a demotion, so
+        the interpreter never runs. The precise build takes no skim, so
+        no live handoff could raise it instead."""
+        from repro.core.anytime import AnytimeKernel
+        from repro.errors import SampleTimeout
+
+        _serial_env(monkeypatch)
+        monkeypatch.setenv("REPRO_REPLAY", "1")
+        setup = ExperimentSetup(scale="tiny", trace_count=2, invocations=1)
+        workload = make_workload("MatMul", setup.scale)
+        environment = _environment(workload, setup)
+        args = (workload, "precise", None, "clank", setup, environment)
+        warm = run_benchmark(*args)  # records outside the deadline
+        assert warm.runs
+
+        monkeypatch.setattr(
+            AnytimeKernel, "run_intermittent",
+            lambda *a, **k: pytest.fail("lane demoted to the interpreter"),
+        )
+        monkeypatch.setenv("REPRO_SAMPLE_TIMEOUT", "1e-9")
+        with pytest.raises(SampleTimeout):
+            run_benchmark(*args)
+
+    @pytest.mark.parametrize(
+        "workload_name, runtime",
+        [("MatMul", "clank"), ("Home", "hibernus"), ("MLP", "progress")],
+    )
+    def test_fault_grid_matches_interp(self, monkeypatch, workload_name, runtime):
+        """Under REPRO_FAULTS each lane replays its own adversarial
+        trace and lands exactly where the interpreter does."""
+        _serial_env(monkeypatch)
+        monkeypatch.setenv("REPRO_FAULTS", "7")
+        setup = ExperimentSetup(scale="tiny", trace_count=3, invocations=2)
+        workload = make_workload(workload_name, setup.scale)
+        environment = _environment(workload, setup)
+        configs = [("precise", None), (workload.technique, 8)]
+
+        interp = _grid_runs(workload, configs, runtime, setup, environment, None)
+        monkeypatch.setenv("REPRO_REPLAY", "1")
+        _worker_records.clear()
+        replay = _grid_runs(workload, configs, runtime, setup, environment, None)
+
+        assert replay == interp
+        assert _rollups(replay) == _rollups(interp)
+        assert all(
+            run.metrics["counters"].get("engine.replay") == 1 for run in replay
+        )
+
+
 class TestVectorKernels:
     @needs_numpy
     def test_war_oracle_matches_scalar_scan(self):
@@ -242,25 +341,6 @@ class TestVectorKernels:
             assert index.war_from(start) == scalar.next_war_before(
                 start, scalar.length
             ), f"WAR divergence at start={start}"
-
-    @needs_numpy
-    def test_advance_lanes_matches_scalar_advance(self):
-        import random
-
-        workload = make_workload("MatMul", "tiny")
-        kernel = build_anytime(workload, workload.technique, 8)
-        record = record_run(kernel, workload.inputs)
-        index = build_batch_index(record)
-        rng = random.Random(13)
-        requests = []
-        for _ in range(200):
-            cursor = rng.randrange(0, record.length)
-            stop = rng.randrange(cursor, record.length + 1)
-            budget = rng.randrange(0, 400)
-            requests.append((cursor, stop, budget))
-        batched = advance_lanes(record, index, requests)
-        for req, got in zip(requests, batched):
-            assert got == record.advance(*req), req
 
     @needs_numpy
     def test_charge_fast_forward_matches_scalar(self):
@@ -309,6 +389,6 @@ class TestChaosSmoke:
         campaign's executors take)."""
         from repro.fault.campaign import run_campaign
 
-        monkeypatch.setenv("REPRO_BATCH", "1")
+        monkeypatch.setenv("REPRO_REPLAY", "1")
         report = run_campaign(seed=1234, count=100)
         assert report["violation_count"] == 0, report["violations"][:3]

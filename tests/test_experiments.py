@@ -162,23 +162,34 @@ class TestWorkerCacheStatelessness:
 
     @pytest.mark.parametrize("replay", [False, True])
     def test_warm_cache_matches_cold_start(self, monkeypatch, replay):
-        from repro.experiments.common import _run_sample
+        from repro.experiments.common import _run_config_group, _run_sample
+
+        def run(spec):
+            if replay:
+                return _run_config_group([spec])[0]
+            return _run_sample(spec)
 
         monkeypatch.delenv("REPRO_JOBS", raising=False)
-        if replay:
-            monkeypatch.setenv("REPRO_REPLAY", "1")
-        else:
-            monkeypatch.delenv("REPRO_REPLAY", raising=False)
         spec = self._spec()
 
         self._clear_caches()
-        cold = _run_sample(spec)
-        warm = _run_sample(spec)  # second in-process run: all caches hot
+        cold = run(spec)
+        warm = run(spec)  # second in-process run: all caches hot
         assert warm == cold
 
         self._clear_caches()  # emulate a fresh worker process
-        fresh = _run_sample(spec)
+        fresh = run(spec)
         assert fresh == cold
+
+
+    def test_workload_without_scale_rejected(self):
+        """Samples rebuild their workload by name, so an ad-hoc workload
+        (no ``scale``) is refused with a pointer to make_workload."""
+        workload = make_workload("Var", "tiny")
+        workload.scale = None
+        env = calibrate_environment(measure_precise_cycles(workload), TINY)
+        with pytest.raises(ValueError, match="make_workload"):
+            run_benchmark(workload, "precise", None, "clank", TINY, env)
 
 
 class TestExperimentModules:

@@ -43,8 +43,7 @@ CLASSIFIERS = ("FC", "MLP", "CNN")
 
 
 def _serial_env(monkeypatch):
-    for key in ("REPRO_JOBS", "REPRO_REPLAY", "REPRO_BATCH",
-                "REPRO_BATCH_NUMPY"):
+    for key in ("REPRO_JOBS", "REPRO_REPLAY", "REPRO_BATCH_NUMPY"):
         monkeypatch.delenv(key, raising=False)
 
 
@@ -186,7 +185,7 @@ class TestProgressPolicy:
         interp = run_benchmark(
             workload, "swp", 8, "progress", setup, environment, reference
         )
-        monkeypatch.setenv("REPRO_BATCH", "1")
+        monkeypatch.setenv("REPRO_REPLAY", "1")
         _worker_records.clear()
         batch = run_benchmark(
             workload, "swp", 8, "progress", setup, environment, reference

@@ -25,6 +25,8 @@ from repro.experiments.common import (
     run_benchmark,
 )
 from repro.service import ExperimentService, JobSpec, ServiceClient, ServiceError
+from repro.service.jobs import prepare
+from repro.service.journal import read_records
 from repro.workloads import make_workload
 
 GRID = {"scale": "tiny", "trace_count": 3, "invocations": 2,
@@ -39,10 +41,11 @@ def job(workload="Home", mode="swv", bits=8, runtime="clank"):
 class running_service:
     """Context manager: one service on a fresh unix socket, own thread."""
 
-    def __init__(self, tmp_path, store=True):
+    def __init__(self, tmp_path, store=True, journal=None):
         self.socket_path = str(tmp_path / "svc.sock")
         self.service = ExperimentService(
-            store_dir=str(tmp_path / "store") if store else None
+            store_dir=str(tmp_path / "store") if store else None,
+            journal_path=journal,
         )
         self.ready = threading.Event()
 
@@ -76,10 +79,10 @@ class running_service:
 def direct_runs(monkeypatch):
     """Ground truth: the same grid run directly, full sample dicts.
 
-    On the batch engine, like the service computes — sample fields are
+    On the replay engine, like the service computes — sample fields are
     engine-identical by contract, but the metrics rollups *record*
     which engine ran, so a field-for-field comparison must match it."""
-    monkeypatch.setenv("REPRO_BATCH", "1")
+    monkeypatch.setenv("REPRO_REPLAY", "1")
     setup = ExperimentSetup(**GRID)
     workload = make_workload("Home", "tiny")
     environment = calibrate_environment(measure_precise_cycles(workload), setup)
@@ -132,6 +135,35 @@ class TestSingleSubmission:
             # The connection survives errors: a good job still works.
             assert client.ping()["protocol"] == 1
             assert client.submit(job())["source"] in ("computed", "store")
+
+
+class TestPrepare:
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            (job(workload="MatAdd", mode="swv", bits=2), "invalid bits"),
+            (job(workload="MatMul", mode="swv", bits=8), "swp kernel"),
+            (job(workload="MatAdd", mode="swp", bits=8), "swv kernel"),
+        ],
+    )
+    def test_unrunnable_job_rejected_before_journal_accept(
+        self, tmp_path, spec, message
+    ):
+        path = str(tmp_path / "journal.jsonl")
+        events = []
+        with running_service(tmp_path, journal=path) as svc, svc.client() as client:
+            with pytest.raises(ServiceError, match=message):
+                client.submit(spec, on_event=events.append)
+            stats = client.stats()
+        assert [event["event"] for event in events] == ["error"]
+        assert read_records(path) == []
+        assert stats["computed"] == 0
+
+    def test_precise_jobs_ignore_bits(self):
+        ctx = prepare(JobSpec.from_dict(job(workload="MatMul", mode="precise", bits=8)))
+        plain = prepare(JobSpec.from_dict(job(workload="MatMul", mode="precise", bits=None)))
+        assert ctx.fingerprint == plain.fingerprint
+        assert ctx.spec.bits is None
 
 
 class TestConcurrentClients:

@@ -185,25 +185,32 @@ class TestGridRecordsOnce:
 
         record_calls = []
         engine_calls = []
+        nn_calls = []
         real = replay.record_run
 
         def counted(kernel, inputs):
-            record_calls.append(1)
+            record_calls.append(kernel)
             return real(kernel, inputs)
 
-        def forbidden(kernel, inputs):  # pragma: no cover - the failure case
-            engine_calls.append(1)
+        def forbidden(kernel, inputs):
+            # Only the NN cross-check, which has no timed record phase,
+            # may record through the harness.
+            (engine_calls if kernel in record_calls else nn_calls).append(1)
             return real(kernel, inputs)
 
         monkeypatch.setattr(replay, "record_run", counted)
         monkeypatch.setattr(common, "record_run", forbidden)
         payload = benchmarking.run_grid_bench(reps=1, scale="tiny")
         # One cold rebuild per rep per config (the timed record phase);
-        # the replay/batch/store passes all reuse those warm logs.
+        # the replay/store passes all reuse those warm logs.
         assert len(record_calls) == 1 * 3
         assert not engine_calls
         assert payload["grid"]["identical"]
         assert payload["grid"]["store_speedup"] > 1.0
+        # The NN cross-check replays its own records (store off), so its
+        # identity verdict compares two computations.
+        assert len(nn_calls) == 3
+        assert payload["nn"]["identical"]
 
 
 class TestLiveReport:

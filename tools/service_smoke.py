@@ -39,7 +39,7 @@ CONFIGS = [
 
 
 def direct_grid():
-    """The same slice, run directly on the batch engine (ground truth)."""
+    """The same slice, run directly on the replay engine (ground truth)."""
     from repro.experiments.common import (
         ExperimentSetup,
         _sample_run_to_dict,
@@ -49,7 +49,7 @@ def direct_grid():
     )
     from repro.workloads import make_workload
 
-    os.environ["REPRO_BATCH"] = "1"  # the engine the service computes on
+    os.environ["REPRO_REPLAY"] = "1"  # the engine the service computes on
     setup = ExperimentSetup(**GRID)
     workload = make_workload("MatMul", "tiny")
     environment = calibrate_environment(measure_precise_cycles(workload), setup)
@@ -59,7 +59,7 @@ def direct_grid():
             workload, config["mode"], config["bits"], "clank", setup, environment
         )
         runs.append([_sample_run_to_dict(r) for r in result.runs])
-    del os.environ["REPRO_BATCH"]
+    del os.environ["REPRO_REPLAY"]
     return runs
 
 
