@@ -590,6 +590,7 @@ def _record_for(spec: SampleSpec, kernel: AnytimeKernel, workload) -> ReplayReco
                 mode=spec.mode, bits=spec.bits,
                 replayable=record.replayable,
                 reason=record.reason or None, length=record.length,
+                recorder=record.recorder,
             )
         if PROFILER.enabled and record.replayable:
             # One folded profile per configuration (the replayed

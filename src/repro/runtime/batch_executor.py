@@ -30,6 +30,12 @@ in order), and a one-lane group is exactly per-sample replay. The
 off-phase charge loop is fast-forwarded by
 :func:`~repro.sim.batch_replay.charge_until_on_fast`.
 
+Those memos, the scalar WAR scans and the materialized CPU are mutable
+state on the record, and threads of one process share records (the
+service's pool runs jobs of one configuration side by side), so a
+group holds the record's lock from its first walk to its last finish:
+groups on one record take turns, groups on different records overlap.
+
 Two situations leave the log:
 
 * **Skim handoff** — a restore consumes an armed skim register. The
@@ -317,8 +323,9 @@ def finish_replay_run(
 
     Output materialization, the skim handoff to live interpretation,
     stats merging and result assembly. ``args`` is the lane's entry of
-    :func:`run_batch_group`'s ``lane_args``. Must run one lane at a
-    time — ``materialize_cpu`` resets the record's cached CPU in place."""
+    :func:`run_batch_group`'s ``lane_args``. The caller holds
+    ``record.lock``: ``materialize_cpu`` resets the record's cached CPU
+    in place, and the live suffix of a skim handoff runs on it."""
     start_tick = args["start_tick"]
     if skim_cut is None:
         completed = policy.halted
@@ -408,7 +415,8 @@ def run_batch_group(
     event with its reason. An armed sample deadline
     (:func:`~repro.runtime.executor.set_sample_deadline`) is polled once
     per simulated millisecond and raises
-    :class:`~repro.errors.SampleTimeout` out of the walk.
+    :class:`~repro.errors.SampleTimeout` out of the walk. Threads may
+    share ``record``: groups on one record run one at a time.
     """
     traced = TRACER.enabled
     if not record.replayable:
@@ -418,46 +426,53 @@ def run_batch_group(
                     "replay_fallback", reason=f"not-replayable: {record.reason}"
                 )
         return [None] * len(lane_args)
-    if lane_args and record.batch is None:
-        index = build_batch_index(record)
-        record.batch = index if index is not None else False
-    timed = sample_deadline_armed()
-    walked = []
-    for args in lane_args:
-        skim = SkimRegister()
-        policy = _make_policy(
-            args["runtime"], record, skim, args.get("watchdog_cycles"), kernel
-        )
-        supply = PowerSupply(
-            args["trace"], args["capacitor"], args["energy_model"],
-            start_tick=args["start_tick"],
-        )
-        ledger = ProgressLedger()
-        try:
-            skim_cut, timed_out = _walk(
-                supply, policy, skim, ledger, trace_energy_array(args["trace"]),
-                args["max_wall_ms"], traced, timed,
+    with record.lock:
+        if lane_args and record.batch is None:
+            index = build_batch_index(record)
+            record.batch = index if index is not None else False
+        timed = sample_deadline_armed()
+        walked = []
+        for args in lane_args:
+            skim = SkimRegister()
+            policy = _make_policy(
+                args["runtime"], record, skim, args.get("watchdog_cycles"),
+                kernel,
             )
-        except _DEMOTE as exc:
-            if traced:
-                TRACER.emit("replay_fallback", reason=_fallback_reason(exc))
-            walked.append(None)
-        else:
-            walked.append(
-                (args, supply, policy, skim, ledger, skim_cut, timed_out)
+            supply = PowerSupply(
+                args["trace"], args["capacitor"], args["energy_model"],
+                start_tick=args["start_tick"],
             )
-    # Lanes finish after every walk: materialization then runs back to
-    # back over the record's keyframe images, measured ~8% faster than
-    # finishing each lane right after its own walk.
-    runs: List[Optional[IntermittentRun]] = []
-    for lane in walked:
-        try:
-            runs.append(
-                None if lane is None
-                else finish_replay_run(kernel, record, inputs, *lane)
-            )
-        except _DEMOTE as exc:
-            if traced:
-                TRACER.emit("replay_fallback", reason=_fallback_reason(exc))
-            runs.append(None)
-    return runs
+            ledger = ProgressLedger()
+            try:
+                skim_cut, timed_out = _walk(
+                    supply, policy, skim, ledger,
+                    trace_energy_array(args["trace"]), args["max_wall_ms"],
+                    traced, timed,
+                )
+            except _DEMOTE as exc:
+                if traced:
+                    TRACER.emit(
+                        "replay_fallback", reason=_fallback_reason(exc)
+                    )
+                walked.append(None)
+            else:
+                walked.append(
+                    (args, supply, policy, skim, ledger, skim_cut, timed_out)
+                )
+        # Lanes finish after every walk: materialization then runs back
+        # to back over the record's keyframe images, measured ~8% faster
+        # than finishing each lane right after its own walk.
+        runs: List[Optional[IntermittentRun]] = []
+        for lane in walked:
+            try:
+                runs.append(
+                    None if lane is None
+                    else finish_replay_run(kernel, record, inputs, *lane)
+                )
+            except _DEMOTE as exc:
+                if traced:
+                    TRACER.emit(
+                        "replay_fallback", reason=_fallback_reason(exc)
+                    )
+                runs.append(None)
+        return runs

@@ -3,8 +3,8 @@
 Every intermittent sample of one (workload, scale, mode, bits)
 configuration executes the *same deterministic instruction stream* —
 the power trace only decides where outages cut it. :func:`record_run`
-therefore executes the program once under continuous power on the fast
-interpreter and captures a **commit log**:
+therefore executes the program once under continuous power and captures
+a **commit log**:
 
 * the retired PC and cycle cost of every instruction (stored as a
   cumulative cost prefix sum, so the cost of any stream segment is one
@@ -32,15 +32,25 @@ costs depend on execution history, which re-execution after an outage
 would diverge from) and all memory traffic confined to non-volatile
 RAM (volatile regions are wiped on outages and device regions may have
 read side effects, neither of which the log models).
+
+The recording run executes on the native core
+(:mod:`repro.sim.native`) whenever it is available and the program
+halts cleanly; everything else re-runs on :func:`record_run_python`,
+the per-instruction Python loop that is the golden model and the only
+producer of non-replayable verdicts. Both give field-for-field equal
+records (``tests/test_native_record.py``).
 """
 
 from __future__ import annotations
 
+import threading
 from array import array
 from bisect import bisect_right
 from typing import Dict, List, Optional, Tuple
 
-from .superblock import record_superblocks
+from . import native
+from .cpu import CPU
+from .decode import decode_program
 
 #: Instructions between architectural keyframes. Reconstructing the
 #: state at an arbitrary position (the skim handoff does this once per
@@ -84,7 +94,9 @@ class ReplayRecord:
         "final_outputs",
         "replayable",
         "reason",
+        "recorder",
         "batch",
+        "lock",
         "_progress_memo",
         "_war_memo",
         "_war_scans",
@@ -116,6 +128,14 @@ class ReplayRecord:
         self.final_outputs: Dict[str, List[int]] = {}
         self.replayable = True
         self.reason = ""
+        #: Which recorder produced the log: "native", or "python:<cause>"
+        #: with the reason the native core did not (see record_run).
+        self.recorder = "python"
+        #: Held by the replay engine across one group's walk: the
+        #: memoized scans and the materialization cache below are
+        #: shared mutable state, so concurrent jobs on one record take
+        #: turns (repro.runtime.batch_executor.run_batch_group).
+        self.lock = threading.Lock()
         #: Optional vectorized index (repro.sim.batch_replay.BatchIndex)
         #: attached by the replay engine; None (or the False sentinel
         #: when numpy is unavailable) falls back to the scalar scans.
@@ -285,8 +305,9 @@ class ReplayRecord:
         The CPU (with its decoded handlers) and the initial memory
         image are cached on the record: each call resets the cached
         instance in place, so callers must be done with the previous
-        materialization when they ask for the next one (the experiment
-        harness runs samples strictly one at a time).
+        materialization when they ask for the next one, and must hold
+        :attr:`lock` while using it (the replay engine holds it across
+        a whole group).
         """
         cache = self._mat_cache
         if cache is not None and cache[0] is kernel and cache[1] is inputs:
@@ -343,6 +364,15 @@ class ReplayRecord:
         raise ValueError(f"position {position} is not a keyframe")
 
 
+class _StagedCPU(CPU):
+    """A CPU holding staged state only: memory, registers, flags, PC.
+
+    The native recorder executes over its memory in place, so it binds
+    no handlers and builds no superblocks."""
+
+    predecode = False
+
+
 def record_run(
     kernel,
     inputs,
@@ -351,8 +381,44 @@ def record_run(
 ) -> ReplayRecord:
     """Execute once under continuous power, recording the commit log.
 
-    ``kernel`` is an :class:`~repro.core.anytime.AnytimeKernel`; the run
-    uses the fast interpreter with recording hooks installed. Marks the
+    ``kernel`` is an :class:`~repro.core.anytime.AnytimeKernel`. The
+    run executes on the native core when it is available and the
+    program halts cleanly; any other ending re-runs on
+    :func:`record_run_python`, which produces the verdict. Both give the
+    same record; its ``recorder`` says which ran: ``"native"``, or
+    ``"python:<cause>"`` with the reason the core did not
+    (``config`` for a configuration that is non-replayable up front,
+    ``unavailable``, ``unsupported``, ``unsafe-access``, ``fault``,
+    ``limit``, ``cost`` or ``out-of-memory``).
+    """
+    config = kernel.config
+    if config.memoization or config.zero_skipping:
+        cause = "config"
+    else:
+        record = ReplayRecord(keyframe_interval)
+        cpu = kernel.make_cpu(inputs, cpu_cls=_StagedCPU)
+        cause = native.record_into(record, cpu, max_instructions)
+        if cause == "native":
+            record.peek_costs = decode_program(cpu.program).peek_costs
+            record.final_outputs = kernel.read_outputs(cpu)
+            record.recorder = cause
+            return record
+    record = record_run_python(
+        kernel, inputs, keyframe_interval, max_instructions
+    )
+    record.recorder = f"python:{cause}"
+    return record
+
+
+def record_run_python(
+    kernel,
+    inputs,
+    keyframe_interval: int = DEFAULT_KEYFRAME_INTERVAL,
+    max_instructions: int = 100_000_000,
+) -> ReplayRecord:
+    """The per-instruction Python recorder: :func:`record_run`'s golden model.
+
+    Runs the fast interpreter with recording hooks installed. Marks the
     record non-replayable (rather than raising) when the configuration
     or the observed traffic violates the replay preconditions, so
     callers can cache the verdict and fall back to live interpretation.
@@ -399,12 +465,6 @@ def record_run(
     cpu.store_hook = store_hook
     cpu.skim_hook = skim_hook
 
-    # Superinstruction fast path: fused runs of loads / single-cycle ALU
-    # execute in one call and their log rows are appended in bulk from
-    # the span's pre-computed costs (actual == worst-case for every
-    # member, so the per-instruction cost-deviation check is vacuous).
-    rec_blocks = record_superblocks(cpu)
-
     handlers = cpu._handlers
     memory = cpu.memory
     regs = cpu.regs.regs
@@ -427,56 +487,8 @@ def record_run(
                 record.reason = "instruction limit exceeded while recording"
                 return record
             pc = cpu.pc
-            at_interval = pos % keyframe_interval
-            if at_interval == 0:
+            if pos % keyframe_interval == 0:
                 keyframes.append((pos, tuple(regs), flags.snapshot(), pc))
-            if rec_blocks is not None:
-                blk = rec_blocks[pc]
-                if (
-                    blk is not None
-                    and at_interval + blk[1] <= keyframe_interval
-                    and pos + blk[1] <= max_instructions
-                ):
-                    _, blen, cost_prefix, load_flags, block_total = blk
-                    blk[0]()
-                    pcs.extend(range(pc, pc + blen))
-                    for c in cost_prefix:
-                        cum.append(total + c)
-                    total += block_total
-                    if pending:
-                        it = 0
-                        for is_load in load_flags:
-                            if is_load:
-                                addr = pending[it + 1]
-                                size = pending[it + 2]
-                                it += 3
-                                kinds.append(_LOAD)
-                                addrs.append(addr)
-                                sizes.append(size)
-                                ok = False
-                                for base, span_end in safe_spans:
-                                    if base <= addr and addr + size <= span_end:
-                                        ok = True
-                                        break
-                                if not ok:
-                                    record.replayable = False
-                                    record.reason = (
-                                        f"access at {addr:#010x} leaves "
-                                        "non-volatile RAM"
-                                    )
-                                    return record
-                            else:
-                                kinds.append(0)
-                                addrs.append(0)
-                                sizes.append(0)
-                        del pending[:]
-                    else:
-                        for _ in range(blen):
-                            kinds.append(0)
-                            addrs.append(0)
-                            sizes.append(0)
-                    pos += blen
-                    continue
             cost = handlers[pc]()
             # The replay fast-forward (``advance``) relies on worst-case
             # and actual costs differing by at most one cycle; anything

@@ -8,7 +8,7 @@ successor (each stores a bound ``nxt`` into ``cpu.pc`` and never reads
 ``pc``), so a run of consecutive handlers can be *fused* into a single
 Python call that executes all of them back to back.
 
-Two span kinds are derived once per :class:`~repro.isa.program.Program`
+Spans are derived once per :class:`~repro.isa.program.Program`
 (cached on the program, keyed on ``program.instructions`` identity, the
 same pattern as :func:`repro.sim.decode.decode_program`):
 
@@ -22,18 +22,8 @@ same pattern as :func:`repro.sim.decode.decode_program`):
   A suffix span exists at every pc so a block is available wherever the
   interpreter happens to land (branch targets, resume points).
 
-* **Record spans** — the subset usable by the commit-log recorder's
-  bulk fast path (:func:`repro.sim.replay.record_run`): loads,
-  single-cycle ALU/vector ops and ``NOP`` only. Stores are excluded
-  (the recorder reads each stored value back immediately after the
-  store), ``SKM`` is excluded (the recorder's skim hook captures the
-  current log position, which is stale mid-block), and variable-cost
-  instructions are excluded so ``actual == worst-case`` holds for every
-  member and the recorder can append pre-computed costs without the
-  per-instruction deviation check.
-
-``REPRO_SUPERBLOCK=0`` disables fusion (read at CPU construction /
-record start); the differential suite runs the grid both ways.
+``REPRO_SUPERBLOCK=0`` disables fusion (read at CPU construction); the
+differential suite runs the grid both ways.
 """
 
 from __future__ import annotations
@@ -43,17 +33,10 @@ from typing import Callable, List, Optional, Tuple
 
 #: blocks[pc] = (fused_fn, n_instructions, worst_case_cycles) or None
 DispatchBlock = Tuple[Callable[[], int], int, int]
-#: blocks[pc] = (fused_fn, n_instructions, cum_cost_prefix, is_load_flags,
-#:               total_cycles) or None
-RecordBlock = Tuple[
-    Callable[[], int], int, Tuple[int, ...], Tuple[bool, ...], int
-]
 
 #: Fuse only runs of at least this many instructions; shorter runs gain
-#: nothing over plain dispatch. Record spans need one more member to
-#: amortize their bulk bookkeeping.
+#: nothing over plain dispatch.
 MIN_DISPATCH_SPAN = 2
-MIN_RECORD_SPAN = 3
 
 
 def superblock_enabled() -> bool:
@@ -64,8 +47,7 @@ def superblock_enabled() -> bool:
 class SpanTable:
     """Per-program span lengths, shared by every CPU on the program."""
 
-    __slots__ = ("instructions", "dispatch", "record", "any_dispatch",
-                 "any_record")
+    __slots__ = ("instructions", "dispatch", "any_dispatch")
 
     def __init__(self, program, metas) -> None:
         self.instructions = program.instructions
@@ -84,39 +66,6 @@ class SpanTable:
             dispatch[pc] = length if length >= MIN_DISPATCH_SPAN else 0
         self.dispatch = dispatch
         self.any_dispatch = any(dispatch)
-
-        # Record spans: fixed-cost, non-store, non-SKM straight-line
-        # instructions (loads, single-cycle ALU, ASV, NOP). meta.cost is
-        # 0 exactly for the variable-cost classes (MUL*, conditional
-        # branches), so cost > 0 plus the explicit exclusions pins every
-        # member to actual == worst-case == meta.cost.
-        rec: List[Optional[Tuple[int, Tuple[int, ...], Tuple[bool, ...],
-                                 int]]] = [None] * n
-        run = 0
-        for pc in range(n - 1, -1, -1):
-            m = metas[pc]
-            ok = (
-                m.cost > 0
-                and not m.is_branch
-                and not m.is_store
-                and m.op != "SKM"
-                and m.op != "HALT"
-            )
-            run = run + 1 if ok else 0
-            if run >= MIN_RECORD_SPAN:
-                cum: List[int] = []
-                total = 0
-                for j in range(run):
-                    total += metas[pc + j].cost
-                    cum.append(total)
-                rec[pc] = (
-                    run,
-                    tuple(cum),
-                    tuple(metas[pc + j].is_load for j in range(run)),
-                    total,
-                )
-        self.record = rec
-        self.any_record = any(s is not None for s in rec)
 
 
 def span_table(program, metas) -> SpanTable:
@@ -173,23 +122,4 @@ def build_superblocks(cpu) -> Optional[List[Optional[DispatchBlock]]]:
                            sum(peek[pc:pc + length])))
         else:
             blocks.append(None)
-    return blocks
-
-
-def record_superblocks(cpu) -> Optional[List[Optional[RecordBlock]]]:
-    """Record-fusion table for the recorder's CPU, or None when off."""
-    if not superblock_enabled():
-        return None
-    table = span_table(cpu.program, cpu._metas)
-    if not table.any_record:
-        return None
-    handlers = cpu._handlers
-    blocks: List[Optional[RecordBlock]] = []
-    for pc, span in enumerate(table.record):
-        if span is None:
-            blocks.append(None)
-        else:
-            blen, prefix, load_flags, total = span
-            members = tuple(handlers[pc:pc + blen])
-            blocks.append((_fuse(members), blen, prefix, load_flags, total))
     return blocks

@@ -324,6 +324,60 @@ class TestLaneWalkHooks:
         )
 
 
+class TestConcurrentGroups:
+    def test_threads_sharing_a_record_match_serial(self, monkeypatch):
+        """The service's pool runs jobs of one configuration on two
+        threads, and they share one commit log through
+        ``_worker_records``. Each job must come out exactly as it does
+        alone: the record's materialized CPU and WAR scans are shared
+        mutable state, so interleaved groups used to reset each other's
+        CPU mid-run (wrong samples, or ``CpuFault: CPU is halted``)."""
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+        from dataclasses import replace
+
+        from repro.experiments.common import (
+            _record_for,
+            _run_config_group,
+            _sample_inputs,
+            _sample_specs,
+        )
+
+        _serial_env(monkeypatch)
+        workload = make_workload("MatMul", "tiny")
+        setup = _setup()
+        environment = _environment(workload, setup)
+        jobs = [
+            _sample_specs(
+                workload, "swp", 4, runtime, replace(setup, trace_seed=seed),
+                environment, None,
+            )
+            for runtime, seed in (
+                ("clank", 11), ("progress", 12), ("clank", 13), ("nvp", 14)
+            )
+        ]
+        serial = [_run_config_group(specs) for specs in jobs]
+        first = jobs[0][0]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _trial in range(10):
+                # One fresh record, shared by all four jobs.
+                _worker_records.clear()
+                shared, _, kernel, _ = _sample_inputs(first)
+                _record_for(first, kernel, shared)
+                with ThreadPoolExecutor(max_workers=2) as pool:
+                    futures = [
+                        pool.submit(_run_config_group, specs) for specs in jobs
+                    ]
+                    results = [future.result(timeout=120)
+                               for future in futures]
+                assert results == serial
+        finally:
+            sys.setswitchinterval(switch)
+            _worker_records.clear()
+
+
 class TestVectorKernels:
     @needs_numpy
     def test_war_oracle_matches_scalar_scan(self):

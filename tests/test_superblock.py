@@ -1,22 +1,18 @@
 """Superinstruction fusion must be invisible except for speed.
 
 ``REPRO_SUPERBLOCK`` gates the fused dispatch tables at CPU
-construction / record start, so the same program can run both ways and
-every observable — cycles, retired count, architectural state, memory,
-budget boundaries, instruction-limit faults, and the recorder's commit
-log — is compared field by field.
+construction, so the same program can run both ways and every
+observable — cycles, retired count, architectural state, memory,
+budget boundaries and instruction-limit faults — is compared field by
+field.
 """
-
-import pytest
 
 from repro.experiments.common import build_anytime
 from repro.isa import assemble
 from repro.sim import CPU, default_memory
 from repro.sim.cpu import CpuFault
-from repro.sim.replay import record_run
 from repro.sim.superblock import (
     MIN_DISPATCH_SPAN,
-    MIN_RECORD_SPAN,
     span_table,
     superblock_enabled,
 )
@@ -71,17 +67,6 @@ class TestSpanTable:
             for j in range(length - 1):
                 m = metas[pc + j]
                 assert not m.is_branch and m.op != "HALT"
-        for pc, span in enumerate(table.record):
-            if span is None:
-                continue
-            blen, prefix, load_flags, total = span
-            assert blen >= MIN_RECORD_SPAN
-            assert len(prefix) == blen == len(load_flags)
-            assert prefix[-1] == total
-            for j in range(blen):
-                m = metas[pc + j]
-                assert m.cost > 0 and not m.is_branch and not m.is_store
-                assert m.op not in ("SKM", "HALT")
 
     def test_env_flag_disables_fusion(self, monkeypatch):
         monkeypatch.setenv("REPRO_SUPERBLOCK", "0")
@@ -146,23 +131,3 @@ class TestFusedDispatch:
                 assert fused_cycles == plain_cycles
             assert _state(fused) == _state(plain)
 
-
-class TestRecorderBulkPath:
-    @pytest.mark.parametrize("workload_name", ["MatMul", "Var"])
-    def test_record_identical_with_and_without_fusion(
-        self, monkeypatch, workload_name
-    ):
-        workload = make_workload(workload_name, "tiny")
-        kernel = build_anytime(workload, workload.technique, 8)
-        monkeypatch.setenv("REPRO_SUPERBLOCK", "1")
-        bulk = record_run(kernel, workload.inputs)
-        monkeypatch.setenv("REPRO_SUPERBLOCK", "0")
-        scalar = record_run(kernel, workload.inputs)
-
-        fields = [
-            name
-            for name in type(bulk).__slots__
-            if not name.startswith("_") and name != "batch"
-        ]
-        for name in fields:
-            assert getattr(bulk, name) == getattr(scalar, name), name
