@@ -353,8 +353,8 @@ def run_grid_bench(reps: int = 3, scale: str = "default") -> dict:
 
     from .experiments.common import (
         ExperimentSetup,
-        _worker_kernels,
-        _worker_records,
+        _cache_record,
+        _worker_cache,
         build_anytime,
         calibrate_environment,
         measure_precise_cycles,
@@ -377,14 +377,16 @@ def run_grid_bench(reps: int = 3, scale: str = "default") -> dict:
         )
 
     def build_records():
+        # A fresh log per config each rep, paired with the kernel the
+        # warm-up pass cached, so the replay passes find it.
         for mode, bits in configs:
             kkey = (workload.name, workload.scale, mode, bits)
-            kernel = _worker_kernels.get(kkey)
-            if kernel is None:
-                kernel = _worker_kernels[kkey] = build_anytime(
-                    workload, mode, bits
-                )
-            _worker_records[kkey] = record_run(kernel, workload.inputs)
+            entry = _worker_cache.get(kkey)
+            kernel = (
+                build_anytime(workload, mode, bits) if entry is None
+                else entry.kernel
+            )
+            _cache_record(kkey, kernel, record_run(kernel, workload.inputs))
 
     saved = {
         key: os.environ.pop(key, None)
@@ -400,7 +402,6 @@ def run_grid_bench(reps: int = 3, scale: str = "default") -> dict:
 
         record_times: List[float] = []
         for _ in range(reps):
-            _worker_records.clear()  # cold log rebuild each rep
             start = time.perf_counter()
             build_records()
             record_times.append(time.perf_counter() - start)

@@ -45,7 +45,9 @@ import json
 import os
 import statistics
 import sys
+import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -59,7 +61,7 @@ from ..observability.profiler import PROFILER
 from ..observability.tracer import TRACER
 from ..power.capacitor import Capacitor
 from ..power.energy import EnergyModel
-from ..power.harvester import paper_traces
+from ..power.harvester import paper_trace, paper_traces
 from ..power.trace import PowerTrace
 from ..runtime.executor import set_sample_deadline
 from ..sim.replay import ReplayRecord, record_run
@@ -402,15 +404,143 @@ class SampleSpec:
     reference: Optional[Tuple[float, ...]] = None
 
 
+#: Byte budget of :data:`_worker_cache`. The working sets it must hold
+#: without evicting, in its own accounting (the mixed-open and grid-cli
+#: plans of bench/workloads.py, seed 41, run in one process):
+#: mixed-open reuses 9 default-scale records (MatMul, MLP and Home x
+#: precise/8-bit/4-bit), 29.2 MiB with their keyframe deltas and
+#: materialization state, plus 0.6 MiB of kernels and 56 trace sets
+#: of 3 x 3000 ms (7.7 MiB with their energy arrays): 37.5 MiB in all.
+#: grid-cli's 12 kernels take 0.8 MiB. 64 MiB holds either with at
+#: least 26 MiB to spare, while a long run no longer keeps every record
+#: and trace set it ever built (cold-configs' 61 configurations held
+#: 574 MiB in one process without a bound).
+CACHE_BUDGET_BYTES = 64 << 20
+
+#: Retained bytes of a compiled kernel per program instruction, with the
+#: decoded and fused views its program caches after its first run:
+#: tracemalloc gave 485-645 B on MatMul, MLP, Home and Conv2d at default
+#: scale and on CNN tiny swp-1.
+_KERNEL_BYTES_PER_INSTRUCTION = 600
+
+
+class _WorkerCache:
+    """Thread-safe LRU of rebuildable per-process state, bounded in bytes.
+
+    Values are :class:`_Compiled` kernels with their commit logs, and
+    :class:`_TraceSet` trace sets; each reports its size (``nbytes``)
+    when it is added or re-accounted. Evicting one only costs a rebuild
+    (re-compile, re-record, re-synthesize from the seed), never a
+    different result. The total is brought back under
+    :data:`CACHE_BUDGET_BYTES` by evicting the least recently used
+    entries, possibly the one just added."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        #: key -> [value, accounted bytes], least recently used first.
+        self._entries: "OrderedDict[tuple, list]" = OrderedDict()
+        self.bytes = 0
+        self.evictions = 0
+
+    def get(self, key: tuple):
+        """The value under ``key`` (now most recently used), or None."""
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None:
+                return None
+            self._entries.move_to_end(key)
+            return entry[0]
+
+    def add(self, key: tuple, value):
+        """Cache ``value`` unless ``key`` is present; returns the value
+        the key now holds (another thread's, if it added first)."""
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None:
+                self._entries.move_to_end(key)
+                return entry[0]
+            nbytes = value.nbytes()
+            self._entries[key] = [value, nbytes]
+            self.bytes += nbytes
+            self._evict()
+            return value
+
+    def reaccount(self, key: tuple) -> None:
+        """Re-read the size of the value under ``key``, which grows as
+        it is used; nothing if the key was evicted."""
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None:
+                return
+            nbytes = entry[0].nbytes()
+            self.bytes += nbytes - entry[1]
+            entry[1] = nbytes
+            self._evict()
+
+    def _evict(self) -> None:
+        while self.bytes > CACHE_BUDGET_BYTES and self._entries:
+            _key, (_value, nbytes) = self._entries.popitem(last=False)
+            self.bytes -= nbytes
+            self.evictions += 1
+
+    def keys(self) -> List[tuple]:
+        with self._lock:
+            return list(self._entries)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+            self.bytes = 0
+
+    def stats(self) -> dict:
+        """``bytes``, ``budget``, ``entries`` and ``evictions`` (since
+        the process started)."""
+        with self._lock:
+            return {
+                "bytes": self.bytes,
+                "budget": CACHE_BUDGET_BYTES,
+                "entries": len(self._entries),
+                "evictions": self.evictions,
+            }
+
+
+class _Compiled:
+    """One kernel configuration's cache entry: the kernel and, once the
+    replay engine asks for it, its commit log. They share an entry so
+    they leave together: the record's materialization cache is keyed by
+    its kernel's identity."""
+
+    __slots__ = ("kernel", "record")
+
+    def __init__(self, kernel: AnytimeKernel,
+                 record: Optional[ReplayRecord] = None) -> None:
+        self.kernel = kernel
+        self.record = record
+
+    def nbytes(self) -> int:
+        size = (len(self.kernel.compiled.program.instructions)
+                * _KERNEL_BYTES_PER_INSTRUCTION)
+        if self.record is not None:
+            size += self.record.nbytes()
+        return size
+
+
+class _TraceSet(list):
+    """One trace set's cache entry: slot ``i`` holds paper trace ``i``
+    once a sample has asked for it, else None."""
+
+    __slots__ = ()
+
+    def nbytes(self) -> int:
+        return sum(trace.nbytes() for trace in self if trace is not None)
+
+
 # Per-process caches: workers in a pool handle many samples of the same
 # configuration, so the expensive rebuilds happen once per process.
+# Workloads (at most one per workload and scale) stay in a plain dict;
+# kernels, commit logs and trace sets share the byte-budgeted cache.
 _worker_workloads: Dict[Tuple[str, str], Tuple[Workload, Tuple[float, ...]]] = {}
-_worker_kernels: Dict[Tuple[str, str, str, Optional[int]], AnytimeKernel] = {}
-_worker_traces: Dict[Tuple[int, int, int], List[PowerTrace]] = {}
-#: Commit logs for REPRO_REPLAY=1, one per kernel configuration (the
-#: instruction stream is input-deterministic, so every trace x
-#: invocation sample of a configuration shares the same log).
-_worker_records: Dict[Tuple[str, str, str, Optional[int]], ReplayRecord] = {}
+_worker_cache = _WorkerCache()
 
 
 #: Bytes one register-file backup writes (16 regs + PSR + PC, one NVM
@@ -497,6 +627,31 @@ def _kernel_key(spec: SampleSpec) -> Tuple[str, str, str, Optional[int]]:
     return (spec.workload_name, spec.scale, spec.mode, spec.bits)
 
 
+def _trace_key(spec: SampleSpec) -> Tuple[str, int, int, int]:
+    return ("traces", spec.trace_count, spec.trace_duration_ms, spec.trace_seed)
+
+
+def _sample_trace(spec: SampleSpec) -> PowerTrace:
+    """The spec's power trace: its ``REPRO_FAULTS`` replacement when
+    faults are armed, else its paper trace, synthesized the first time
+    its index is asked for."""
+    faults_seed = experiment_faults()
+    if faults_seed is not None:
+        return _fault_trace(faults_seed, spec)
+    tkey = _trace_key(spec)
+    traces = _worker_cache.get(tkey)
+    if traces is None:
+        traces = _worker_cache.add(tkey, _TraceSet([None] * spec.trace_count))
+    trace = traces[spec.trace_index]
+    if trace is None:
+        trace = traces[spec.trace_index] = paper_trace(
+            spec.trace_index, spec.trace_count, spec.trace_duration_ms,
+            spec.trace_seed,
+        )
+        _worker_cache.reaccount(tkey)
+    return trace
+
+
 def _sample_inputs(spec: SampleSpec):
     """``(workload, reference, kernel, trace)`` for one spec.
 
@@ -512,21 +667,12 @@ def _sample_inputs(spec: SampleSpec):
     reference = spec.reference if spec.reference is not None else default_reference
 
     kkey = _kernel_key(spec)
-    if kkey not in _worker_kernels:
-        _worker_kernels[kkey] = build_anytime(workload, spec.mode, spec.bits)
-
-    tkey = (spec.trace_count, spec.trace_duration_ms, spec.trace_seed)
-    if tkey not in _worker_traces:
-        _worker_traces[tkey] = paper_traces(
-            count=spec.trace_count,
-            duration_ms=spec.trace_duration_ms,
-            base_seed=spec.trace_seed,
+    entry = _worker_cache.get(kkey)
+    if entry is None:
+        entry = _worker_cache.add(
+            kkey, _Compiled(build_anytime(workload, spec.mode, spec.bits))
         )
-    trace = _worker_traces[tkey][spec.trace_index]
-    faults_seed = experiment_faults()
-    if faults_seed is not None:
-        trace = _fault_trace(faults_seed, spec)
-    return workload, reference, _worker_kernels[kkey], trace
+    return workload, reference, entry.kernel, _sample_trace(spec)
 
 
 def _energy_model(runtime: str) -> EnergyModel:
@@ -578,29 +724,43 @@ def _execute_sample(spec: SampleSpec) -> SampleRun:
 
 
 def _record_for(spec: SampleSpec, kernel: AnytimeKernel, workload) -> ReplayRecord:
-    """The configuration's commit log, recorded once per process."""
+    """The configuration's commit log, recorded once per cache residency
+    of its kernel (an evicted pair is rebuilt, never different)."""
     kkey = _kernel_key(spec)
-    record = _worker_records.get(kkey)
-    if record is None:
-        record = record_run(kernel, workload.inputs)
-        _worker_records[kkey] = record
-        if TRACER.enabled:
-            TRACER.emit(
-                "record_run", workload=spec.workload_name,
-                mode=spec.mode, bits=spec.bits,
-                replayable=record.replayable,
-                reason=record.reason or None, length=record.length,
-                recorder=record.recorder,
-            )
-        if PROFILER.enabled and record.replayable:
-            # One folded profile per configuration (the replayed
-            # samples all consume this same recorded stream).
-            PROFILER.collect_record(
-                record,
-                kernel.compiled.program,
-                f"{kernel.compiled.program.name}/{spec.runtime}",
-            )
+    entry = _worker_cache.get(kkey)
+    if entry is not None and entry.kernel is kernel and entry.record is not None:
+        return entry.record
+    record = record_run(kernel, workload.inputs)
+    _cache_record(kkey, kernel, record)
+    if TRACER.enabled:
+        TRACER.emit(
+            "record_run", workload=spec.workload_name,
+            mode=spec.mode, bits=spec.bits,
+            replayable=record.replayable,
+            reason=record.reason or None, length=record.length,
+            recorder=record.recorder,
+        )
+    if PROFILER.enabled and record.replayable:
+        # One folded profile per configuration (the replayed
+        # samples all consume this same recorded stream).
+        PROFILER.collect_record(
+            record,
+            kernel.compiled.program,
+            f"{kernel.compiled.program.name}/{spec.runtime}",
+        )
     return record
+
+
+def _cache_record(kkey: tuple, kernel: AnytimeKernel, record: ReplayRecord) -> None:
+    """Pair ``record`` with ``kernel`` under kernel key ``kkey`` in
+    :data:`_worker_cache`, re-adding the pair if the kernel's entry was
+    evicted. A key that now holds another kernel is left alone."""
+    entry = _worker_cache.get(kkey)
+    if entry is None:
+        _worker_cache.add(kkey, _Compiled(kernel, record))
+    elif entry.kernel is kernel:
+        entry.record = record
+        _worker_cache.reaccount(kkey)
 
 
 def _finalize_sample(
@@ -669,7 +829,7 @@ def _run_config_group(specs: List[SampleSpec]) -> List[SampleRun]:
     def replay(group: List[SampleSpec]) -> List[SampleRun]:
         first = group[0]
         workload, reference, kernel, _trace = _sample_inputs(first)
-        traces = [_sample_inputs(spec)[3] for spec in group]
+        traces = [_sample_trace(spec) for spec in group]
         if TRACER.enabled:
             _emit_sample_start(first)
         record = _record_for(first, kernel, workload)
@@ -678,6 +838,10 @@ def _run_config_group(specs: List[SampleSpec]) -> List[SampleRun]:
             kernel, record, workload.inputs,
             [_run_args(spec, trace, energy) for spec, trace in zip(group, traces)],
         )
+        # The walk grew the record's keyframe deltas and materialization
+        # state, and gave its traces their energy arrays.
+        _worker_cache.reaccount(_kernel_key(first))
+        _worker_cache.reaccount(_trace_key(first))
         results = []
         for spec, trace, run in zip(group, traces, runs):
             fallback = run is None

@@ -79,6 +79,27 @@ def wifi_trace(
     return PowerTrace(samples, name=name or f"wifi-seed{seed}")
 
 
+def paper_trace(
+    index: int,
+    count: int = 9,
+    duration_ms: int = 4000,
+    base_seed: int = 100,
+    mean_power_w: float = DEFAULT_MEAN_POWER_W,
+) -> PowerTrace:
+    """Trace ``index`` of :func:`paper_traces` with the same arguments.
+
+    Each trace draws only from its own seed (``base_seed + index``), so
+    one can be synthesized without the others and equals its entry in
+    the full list sample for sample."""
+    factor = 0.6 + 0.8 * (index / max(1, count - 1))  # 0.6x .. 1.4x
+    return wifi_trace(
+        duration_ms=duration_ms,
+        seed=base_seed + index,
+        mean_power_w=mean_power_w * factor,
+        name=f"wifi-{index}",
+    )
+
+
 def paper_traces(
     count: int = 9,
     duration_ms: int = 4000,
@@ -91,15 +112,7 @@ def paper_traces(
     spread +/-40% around ``mean_power_w`` so the suite covers weak and
     strong harvesting conditions.
     """
-    traces = []
-    for i in range(count):
-        factor = 0.6 + 0.8 * (i / max(1, count - 1))  # 0.6x .. 1.4x
-        traces.append(
-            wifi_trace(
-                duration_ms=duration_ms,
-                seed=base_seed + i,
-                mean_power_w=mean_power_w * factor,
-                name=f"wifi-{i}",
-            )
-        )
-    return traces
+    return [
+        paper_trace(i, count, duration_ms, base_seed, mean_power_w)
+        for i in range(count)
+    ]

@@ -12,17 +12,25 @@ from __future__ import annotations
 
 import csv
 import io
+from array import array
 from typing import Iterable, List, Sequence
 
 
 class PowerTrace:
-    """A harvested-power trace: one sample (in watts) per millisecond."""
+    """A harvested-power trace: one sample (in watts) per millisecond.
+
+    Samples are held as an ``array('d')``: 8 bytes each rather than a
+    boxed Python float plus its list slot."""
 
     SAMPLE_MS = 1.0
 
     def __init__(self, samples_w: Sequence[float], name: str = "trace"):
-        self.samples: List[float] = [max(0.0, float(s)) for s in samples_w]
+        self.samples = array("d", [max(0.0, float(s)) for s in samples_w])
         self.name = name
+        #: Per-millisecond harvest energies as a float64 numpy array, set
+        #: by the replay engine on first use
+        #: (:func:`repro.sim.batch_replay.trace_energy_array`).
+        self.energies = None
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -44,6 +52,13 @@ class PowerTrace:
     def energy_at(self, tick: int) -> float:
         """Energy (J) harvested during millisecond ``tick``."""
         return self.power_at(tick) * (self.SAMPLE_MS / 1000.0)
+
+    def nbytes(self) -> int:
+        """Bytes held by the sample array and, once built, the energies."""
+        size = len(self.samples) * self.samples.itemsize
+        if self.energies is not None:
+            size += self.energies.nbytes
+        return size
 
     @property
     def duration_ms(self) -> float:

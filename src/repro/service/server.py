@@ -57,6 +57,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, List, Optional
 
 from ..errors import SocketInUseError
+from ..experiments.common import _worker_cache
 from ..store.cas import ResultStore
 from .journal import JobJournal
 from .jobs import JobContext, compute, prepare
@@ -174,7 +175,8 @@ class ExperimentService:
     # -- stats -------------------------------------------------------------
 
     def stats(self) -> dict:
-        """Scheduler counters plus the store's entry/hit statistics."""
+        """Scheduler counters, the store's entry/hit statistics and the
+        process's kernel/record/trace cache."""
         payload = {
             "protocol": PROTOCOL_VERSION,
             "inflight": len(self.inflight),
@@ -183,6 +185,7 @@ class ExperimentService:
         }
         payload["store"] = self.store.stats() if self.store else None
         payload["journal"] = self.journal.stats() if self.journal else None
+        payload["cache"] = _worker_cache.stats()
         return payload
 
     # -- submission path ---------------------------------------------------

@@ -31,7 +31,7 @@ when it is absent (or ``REPRO_BATCH_NUMPY=0`` forces the fallback).
 from __future__ import annotations
 
 import os
-from typing import Dict, Optional
+from typing import Optional
 
 from ..power.supply import SupplyExhausted
 
@@ -52,14 +52,13 @@ def numpy_or_none():
 
 
 class BatchIndex:
-    """Per-record vectorized index: cost prefix sums + WAR tables."""
+    """Per-record vectorized index: the WAR trigger tables."""
 
-    __slots__ = ("np", "length", "cum", "war_pos", "war_ps", "war_ns")
+    __slots__ = ("np", "length", "war_pos", "war_ps", "war_ns")
 
     def __init__(self, record, np) -> None:
         self.np = np
         self.length = record.length
-        self.cum = np.asarray(record.cum_cost, dtype=np.int64)
 
         kinds = np.asarray(record.mem_kind, dtype=np.int8)
         acc = np.flatnonzero(kinds)
@@ -119,6 +118,10 @@ class BatchIndex:
         self.war_ps = ps[mask]
         self.war_ns = ns[mask]
 
+    def nbytes(self) -> int:
+        """Bytes held by the WAR tables."""
+        return self.war_pos.nbytes + self.war_ps.nbytes + self.war_ns.nbytes
+
     def war_from(self, start: int) -> int:
         """First WAR store position at/after ``start``, else ``length``.
 
@@ -143,28 +146,19 @@ def build_batch_index(record) -> Optional[BatchIndex]:
     return BatchIndex(record, np)
 
 
-#: id(trace) -> (trace, per-ms harvested energy as float64 array). The
-#: strong trace reference keeps the id stable. A grid has a handful of
-#: paper traces, but ``REPRO_FAULTS`` makes one trace per sample, so the
-#: cache is dropped whenever it reaches :data:`_ENERGY_CACHE_SIZE`.
-_ENERGY_CACHE: Dict[int, tuple] = {}
-_ENERGY_CACHE_SIZE = 64
-
-
 def trace_energy_array(trace):
-    """Per-millisecond harvest energies of ``trace`` (None sans numpy)."""
+    """Per-millisecond harvest energies of ``trace`` (None sans numpy).
+
+    Computed once per trace and kept on it (``trace.energies``), so the
+    array lives and dies with its trace."""
     np = numpy_or_none()
     if np is None:
         return None
-    hit = _ENERGY_CACHE.get(id(trace))
-    if hit is not None and hit[0] is trace:
-        return hit[1]
-    arr = np.asarray(trace.samples, dtype=np.float64) * (
-        trace.SAMPLE_MS / 1000.0
-    )
-    if len(_ENERGY_CACHE) >= _ENERGY_CACHE_SIZE:
-        _ENERGY_CACHE.clear()
-    _ENERGY_CACHE[id(trace)] = (trace, arr)
+    arr = trace.energies
+    if arr is None:
+        arr = trace.energies = np.asarray(trace.samples, dtype=np.float64) * (
+            trace.SAMPLE_MS / 1000.0
+        )
     return arr
 
 

@@ -43,9 +43,10 @@ records (``tests/test_native_record.py``).
 
 from __future__ import annotations
 
+import sys
 import threading
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from typing import Dict, List, Optional, Tuple
 
 from . import native
@@ -58,6 +59,31 @@ from .decode import decode_program
 #: costs a few hundred bytes. 256 keeps reconstruction ~free while the
 #: keyframe store stays well under the access log's own footprint.
 DEFAULT_KEYFRAME_INTERVAL = 256
+
+#: Keyframe memory snapshots are sparse: each keeps only the pages of
+#: this many bytes that the store log wrote before its keyframe, and is
+#: restored over the record's one initial image. A full image is
+#: 1.25 MiB; a tiny kernel writes a few KB.
+SNAPSHOT_PAGE = 256
+_PAGE_SHIFT = SNAPSHOT_PAGE.bit_length() - 1
+
+#: Byte estimates for :meth:`ReplayRecord.nbytes`. Measured with
+#: tracemalloc on default-scale MatMul precise, Conv2d swp-4 and CNN
+#: tiny swp-1: a keyframe tuple with its register ints and flags takes
+#: 450-530 B; a materialization CPU, beyond its memory regions, takes
+#: 1100-1370 B per program instruction (decoded handlers and their
+#: state). A page-table entry and a keyframe delta's object and dict
+#: overhead are about 100 B each.
+_KEYFRAME_BYTES = 500
+_HANDLER_BYTES = 1200
+_PAGE_BYTES = 110
+_DELTA_BYTES = 100
+
+#: The commit-log columns, each an array.array.
+_ARRAYS = (
+    "pcs", "cum_cost", "mem_kind", "mem_addr", "mem_size",
+    "store_pos", "store_addr", "store_size", "store_value",
+)
 
 _LOAD = 1
 _STORE = 2
@@ -101,7 +127,11 @@ class ReplayRecord:
         "_war_memo",
         "_war_scans",
         "_mat_cache",
-        "_kf_images",
+        "_mat_bytes",
+        "_pages",
+        "_page_firsts",
+        "_kf_deltas",
+        "_kf_order",
     )
 
     def __init__(self, keyframe_interval: int):
@@ -147,7 +177,30 @@ class ReplayRecord:
         #: In-flight WAR scans: start -> [frontier, read_first, written].
         self._war_scans: Dict[int, list] = {}
         self._mat_cache: Optional[tuple] = None
-        self._kf_images: dict = {}
+        #: Bytes of the materialization state: the cached CPU, the
+        #: initial image and every keyframe delta (see nbytes).
+        self._mat_bytes = 0
+        #: (region index, offset, length) of every page the store log
+        #: writes, in order of first write, and the stream position of
+        #: each page's first write; built with the first snapshot.
+        self._pages: List[Tuple[int, int, int]] = []
+        self._page_firsts: Optional[array] = None
+        #: Keyframe index -> the bytes of its written pages, in _pages
+        #: order (a prefix of _pages: those first written before it),
+        #: and the indices that have one, ascending.
+        self._kf_deltas: Dict[int, bytes] = {}
+        self._kf_order: List[int] = []
+
+    def nbytes(self) -> int:
+        """Approximate bytes this record holds: its columns, keyframes,
+        vectorized index and materialization state. Reads counters
+        only, so it is safe while another thread walks the record."""
+        size = sum(sys.getsizeof(getattr(self, name)) for name in _ARRAYS)
+        size += len(self.keyframes) * _KEYFRAME_BYTES
+        size += len(self._pages) * _PAGE_BYTES
+        if self.batch:
+            size += self.batch.nbytes()
+        return size + self._mat_bytes
 
     # -- segment queries ----------------------------------------------------
 
@@ -302,12 +355,12 @@ class ReplayRecord:
         the skim-point handoff to live interpretation and for reading
         outputs of runs that did not complete.
 
-        The CPU (with its decoded handlers) and the initial memory
-        image are cached on the record: each call resets the cached
-        instance in place, so callers must be done with the previous
-        materialization when they ask for the next one, and must hold
-        :attr:`lock` while using it (the replay engine holds it across
-        a whole group).
+        The CPU (with its decoded handlers), the initial memory image
+        and each restored keyframe's memory delta are cached on the
+        record: each call resets the cached instance in place, so
+        callers must be done with the previous materialization when
+        they ask for the next one, and must hold :attr:`lock` while
+        using it (the replay engine holds it across a whole group).
         """
         cache = self._mat_cache
         if cache is not None and cache[0] is kernel and cache[1] is inputs:
@@ -321,28 +374,42 @@ class ReplayRecord:
                 bytes(r.data) if r.device is None else None
                 for r in cpu.memory.regions
             )
-            self._mat_cache = (kernel, inputs, cpu, images)
-            self._kf_images = {}
+            cache = self._mat_cache = (kernel, inputs, cpu, images)
+            self._kf_deltas = {}
+            self._kf_order = []
+            self._mat_bytes = 2 * sum(len(image or b"") for image in images)
+            self._mat_bytes += len(cpu.program.instructions) * _HANDLER_BYTES
+        regions = cpu.memory.regions
+        for region, image in zip(regions, cache[3]):
+            if image is not None:
+                region.data[:] = image
         index = bisect_right(self.keyframes, reg_pos, key=lambda kf: kf[0]) - 1
         kf_pos, kf_regs, kf_flags, kf_pc = self.keyframes[index]
         # Memory at a keyframe is a pure function of the keyframe, so
-        # the store-log prefix [0, kf_pos) replays once per keyframe and
-        # later materializations restore the snapshot bytes directly —
-        # the replay engine materializes many lanes per record.
-        snap = self._kf_images.get(index)
-        if snap is None:
-            for region, image in zip(cpu.memory.regions, self._mat_cache[3]):
-                if image is not None:
-                    region.data[:] = image
-            self.apply_stores(cpu.memory, 0, kf_pos)
-            self._kf_images[index] = tuple(
-                bytes(r.data) if r.device is None else None
-                for r in cpu.memory.regions
+        # the store log up to it replays once per keyframe, starting
+        # from the nearest earlier snapshot, and later materializations
+        # write back the pages it touched — the replay engine
+        # materializes many lanes per record.
+        delta = self._kf_deltas.get(index)
+        if delta is None:
+            order = self._kf_order
+            at = bisect_right(order, index)
+            start = 0
+            if at:
+                self._restore_pages(regions, self._kf_deltas[order[at - 1]])
+                start = self.keyframes[order[at - 1]][0]
+            self.apply_stores(cpu.memory, start, kf_pos)
+            if self._page_firsts is None:
+                self._index_pages(regions)
+            count = bisect_left(self._page_firsts, kf_pos)
+            delta = self._kf_deltas[index] = b"".join(
+                regions[i].data[offset:offset + length]
+                for i, offset, length in self._pages[:count]
             )
+            order.insert(at, index)
+            self._mat_bytes += len(delta) + _DELTA_BYTES
         else:
-            for region, image in zip(cpu.memory.regions, snap):
-                if image is not None:
-                    region.data[:] = image
+            self._restore_pages(regions, delta)
         cpu.regs.restore(list(kf_regs))
         cpu.flags.restore(kf_flags)
         cpu.pc = kf_pc
@@ -351,6 +418,36 @@ class ReplayRecord:
             cpu.step()
         self.apply_stores(cpu.memory, reg_pos, mem_pos)
         return cpu
+
+    def _restore_pages(self, regions, delta: bytes) -> None:
+        """Write a keyframe delta's pages back into ``regions``."""
+        view = memoryview(delta)
+        start = 0
+        for i, offset, length in self._pages:
+            if start == len(delta):
+                break
+            regions[i].data[offset:offset + length] = view[start:start + length]
+            start += length
+
+    def _index_pages(self, regions) -> None:
+        """Fill :attr:`_pages` and :attr:`_page_firsts` from the store
+        log (of a replayable record: every store lies in one RAM
+        region). A store that straddles a page boundary writes both
+        pages."""
+        spans = [(r.base, r.base + r.size) for r in regions]
+        firsts: Dict[Tuple[int, int], int] = {}
+        for pos, addr, size in zip(self.store_pos, self.store_addr, self.store_size):
+            index = next(i for i, (lo, hi) in enumerate(spans) if lo <= addr < hi)
+            offset = addr - spans[index][0]
+            last = (offset + size - 1) >> _PAGE_SHIFT
+            for page in range(offset >> _PAGE_SHIFT, last + 1):
+                firsts.setdefault((index, page), pos)
+        self._pages = [
+            (index, page << _PAGE_SHIFT,
+             min(SNAPSHOT_PAGE, regions[index].size - (page << _PAGE_SHIFT)))
+            for index, page in firsts
+        ]
+        self._page_firsts = array("q", firsts.values())
 
     def state_at(self, position: int) -> Tuple[List[int], tuple, int]:
         """(regs, flags, pc) before the instruction at ``position``.

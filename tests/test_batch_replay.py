@@ -15,7 +15,7 @@ import pytest
 
 from repro.experiments.common import (
     ExperimentSetup,
-    _worker_records,
+    _worker_cache,
     build_anytime,
     calibrate_environment,
     measure_precise_cycles,
@@ -91,7 +91,7 @@ class TestGridDifferential:
 
         interp = _grid_runs(workload, configs, "clank", setup, environment, reference)
         monkeypatch.setenv("REPRO_REPLAY", "1")
-        _worker_records.clear()
+        _worker_cache.clear()
         batch = _grid_runs(workload, configs, "clank", setup, environment, reference)
 
         assert len(interp) == 3 * setup.trace_count * setup.invocations
@@ -118,7 +118,7 @@ class TestGridDifferential:
             workload, workload.technique, 8, runtime, setup, environment, reference
         )
         monkeypatch.setenv("REPRO_REPLAY", "1")
-        _worker_records.clear()
+        _worker_cache.clear()
         batch = run_benchmark(
             workload, workload.technique, 8, runtime, setup, environment, reference
         )
@@ -144,7 +144,7 @@ class TestGridDifferential:
 
         interp = _grid_runs(workload, configs, runtime, setup, environment, reference)
         monkeypatch.setenv("REPRO_REPLAY", "1")
-        _worker_records.clear()
+        _worker_cache.clear()
         replay = _grid_runs(workload, configs, runtime, setup, environment, reference)
 
         assert any(run.skim_taken for run in interp), "grid took no skims"
@@ -165,10 +165,10 @@ class TestGridDifferential:
         configs = [(workload.technique, 8), (workload.technique, 4)]
 
         monkeypatch.setenv("REPRO_REPLAY", "1")
-        _worker_records.clear()
+        _worker_cache.clear()
         vectored = _grid_runs(workload, configs, "clank", setup, environment, reference)
         monkeypatch.setenv("REPRO_BATCH_NUMPY", "0")
-        _worker_records.clear()
+        _worker_cache.clear()
         scalar = _grid_runs(workload, configs, "clank", setup, environment, reference)
 
         assert scalar == vectored
@@ -187,10 +187,10 @@ class TestGridDifferential:
         ]
 
         monkeypatch.setenv("REPRO_REPLAY", "1")
-        _worker_records.clear()
+        _worker_cache.clear()
         serial = _grid_runs(workload, configs, "clank", setup, environment, reference)
         monkeypatch.setenv("REPRO_JOBS", "4")
-        _worker_records.clear()
+        _worker_cache.clear()
         parallel = _grid_runs(workload, configs, "clank", setup, environment, reference)
 
         assert parallel == serial
@@ -248,7 +248,7 @@ class TestLaneWalkHooks:
             runtime: _grid_runs(workload, configs, runtime, setup, environment, None)
             for runtime in ("clank", "nvp")
         }
-        _worker_records.clear()  # the traced run records (and says so)
+        _worker_cache.clear()  # the traced run records (and says so)
         path = tmp_path / "replay.jsonl"
         TRACER.enable(str(path))
         try:
@@ -314,7 +314,7 @@ class TestLaneWalkHooks:
 
         interp = _grid_runs(workload, configs, runtime, setup, environment, None)
         monkeypatch.setenv("REPRO_REPLAY", "1")
-        _worker_records.clear()
+        _worker_cache.clear()
         replay = _grid_runs(workload, configs, runtime, setup, environment, None)
 
         assert replay == interp
@@ -328,7 +328,7 @@ class TestConcurrentGroups:
     def test_threads_sharing_a_record_match_serial(self, monkeypatch):
         """The service's pool runs jobs of one configuration on two
         threads, and they share one commit log through
-        ``_worker_records``. Each job must come out exactly as it does
+        ``_worker_cache``. Each job must come out exactly as it does
         alone: the record's materialized CPU and WAR scans are shared
         mutable state, so interleaved groups used to reset each other's
         CPU mid-run (wrong samples, or ``CpuFault: CPU is halted``)."""
@@ -363,7 +363,7 @@ class TestConcurrentGroups:
         try:
             for _trial in range(10):
                 # One fresh record, shared by all four jobs.
-                _worker_records.clear()
+                _worker_cache.clear()
                 shared, _, kernel, _ = _sample_inputs(first)
                 _record_for(first, kernel, shared)
                 with ThreadPoolExecutor(max_workers=2) as pool:
@@ -375,7 +375,7 @@ class TestConcurrentGroups:
                 assert results == serial
         finally:
             sys.setswitchinterval(switch)
-            _worker_records.clear()
+            _worker_cache.clear()
 
 
 class TestVectorKernels:

@@ -156,9 +156,7 @@ class TestWorkerCacheStatelessness:
         from repro.experiments import common
 
         common._worker_workloads.clear()
-        common._worker_kernels.clear()
-        common._worker_traces.clear()
-        common._worker_records.clear()
+        common._worker_cache.clear()
 
     @pytest.mark.parametrize("replay", [False, True])
     def test_warm_cache_matches_cold_start(self, monkeypatch, replay):

@@ -23,7 +23,7 @@ from repro.compiler import evaluate
 from repro.core import AnytimeConfig, AnytimeKernel, nrmse
 from repro.experiments.common import (
     ExperimentSetup,
-    _worker_records,
+    _worker_cache,
     calibrate_environment,
     measure_precise_cycles,
     run_benchmark,
@@ -166,7 +166,7 @@ class TestProgressPolicy:
             workload, "swp", 8, "progress", setup, environment, reference
         )
         monkeypatch.setenv("REPRO_REPLAY", "1")
-        _worker_records.clear()
+        _worker_cache.clear()
         replay = run_benchmark(
             workload, "swp", 8, "progress", setup, environment, reference
         )
@@ -186,7 +186,7 @@ class TestProgressPolicy:
             workload, "swp", 8, "progress", setup, environment, reference
         )
         monkeypatch.setenv("REPRO_REPLAY", "1")
-        _worker_records.clear()
+        _worker_cache.clear()
         batch = run_benchmark(
             workload, "swp", 8, "progress", setup, environment, reference
         )

@@ -138,7 +138,7 @@ class TestTraceRoundTrip:
         """A fig10-style MatMul grid with tracing (and replay) enabled."""
         if replay:
             monkeypatch.setenv("REPRO_REPLAY", "1")
-        common._worker_records.clear()
+        common._worker_cache.clear()
         path = tmp_path / "grid.jsonl"
         TRACER.enable(str(path))
         workload, env = _matmul_env()
@@ -183,8 +183,12 @@ class TestTraceRoundTrip:
         stub = ReplayRecord(64)
         stub.replayable = False
         stub.reason = "synthetic test poison"
+        common._worker_cache.clear()
         for mode, bits in (("precise", None), ("swp", 8)):
-            common._worker_records[("MatMul", "tiny", mode, bits)] = stub
+            common._cache_record(
+                ("MatMul", "tiny", mode, bits),
+                common.build_anytime(workload, mode, bits), stub,
+            )
         try:
             path = tmp_path / "fallback.jsonl"
             TRACER.enable(str(path))
@@ -193,7 +197,7 @@ class TestTraceRoundTrip:
             )
             TRACER.disable()
         finally:
-            common._worker_records.clear()
+            common._worker_cache.clear()
         summary = summarize_trace(str(path))
         assert summary.fallback_reasons == {
             "not-replayable: synthetic test poison": len(result.runs)

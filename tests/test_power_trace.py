@@ -7,6 +7,7 @@ from repro.power import (
     PowerTrace,
     concat,
     constant_trace,
+    paper_trace,
     paper_traces,
     square_trace,
     wifi_trace,
@@ -41,19 +42,24 @@ class TestPowerTrace:
 
     def test_scaled(self):
         trace = PowerTrace([1.0, 2.0]).scaled(0.5)
-        assert trace.samples == [0.5, 1.0]
+        assert trace.samples.tolist() == [0.5, 1.0]
 
     def test_slice(self):
         trace = PowerTrace([1.0, 2.0, 3.0, 4.0]).slice_ms(1, 3)
-        assert trace.samples == [2.0, 3.0]
+        assert trace.samples.tolist() == [2.0, 3.0]
 
     def test_duration(self):
         assert PowerTrace([0.0] * 100).duration_ms == 100.0
 
+    def test_samples_are_a_double_array(self):
+        trace = PowerTrace([1, 2.5])
+        assert trace.samples.typecode == "d"
+        assert trace.nbytes() == 16
+
     def test_csv_roundtrip(self):
         trace = PowerTrace([1e-6, 2.5e-6, 0.0])
         restored = PowerTrace.from_csv(trace.to_csv())
-        assert restored.samples == pytest.approx(trace.samples)
+        assert restored.samples.tolist() == pytest.approx(trace.samples.tolist())
 
     def test_csv_bad_header_rejected(self):
         with pytest.raises(ValueError):
@@ -62,7 +68,8 @@ class TestPowerTrace:
     @given(st.lists(st.floats(0, 1e-3, allow_nan=False), min_size=1, max_size=50))
     def test_csv_roundtrip_property(self, samples):
         trace = PowerTrace(samples)
-        assert PowerTrace.from_csv(trace.to_csv()).samples == pytest.approx(trace.samples)
+        restored = PowerTrace.from_csv(trace.to_csv())
+        assert restored.samples.tolist() == pytest.approx(trace.samples.tolist())
 
 
 class TestGenerators:
@@ -73,11 +80,13 @@ class TestGenerators:
 
     def test_square_trace_pattern(self):
         trace = square_trace(1.0, on_ms=2, off_ms=3, periods=2)
-        assert trace.samples == [1.0, 1.0, 0.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0]
+        assert trace.samples.tolist() == [
+            1.0, 1.0, 0.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0
+        ]
 
     def test_concat(self):
         trace = concat([constant_trace(1.0, 2), constant_trace(2.0, 1)])
-        assert trace.samples == [1.0, 1.0, 2.0]
+        assert trace.samples.tolist() == [1.0, 1.0, 2.0]
 
 
 class TestWifiSynthesis:
@@ -114,6 +123,17 @@ class TestWifiSynthesis:
         means = [t.mean_power for t in traces]
         assert max(means) > 2.0 * min(means)  # weak to strong conditions
         assert len({t.name for t in traces}) == 9
+
+    @pytest.mark.parametrize("count", [1, 3, 9])
+    def test_one_trace_equals_its_entry_in_the_set(self, count):
+        """A trace synthesized on its own equals the same index of the
+        full set sample for sample, so lazily built sets match."""
+        kwargs = dict(duration_ms=700, base_seed=41, mean_power_w=3e-4)
+        traces = paper_traces(count=count, **kwargs)
+        for index in reversed(range(count)):
+            alone = paper_trace(index, count, **kwargs)
+            assert alone.name == traces[index].name
+            assert alone.samples == traces[index].samples
 
 
 class TestBundledTraces:

@@ -11,7 +11,7 @@ import pytest
 
 from repro.experiments.common import (
     ExperimentSetup,
-    _worker_records,
+    _worker_cache,
     build_anytime,
     calibrate_environment,
     measure_precise_cycles,
@@ -53,7 +53,7 @@ def test_fig10_grid_replay_identical(monkeypatch):
 
     interp = _grid_runs(workload, configs, "clank", setup, environment, reference)
     monkeypatch.setenv("REPRO_REPLAY", "1")
-    _worker_records.clear()
+    _worker_cache.clear()
     replay = _grid_runs(workload, configs, "clank", setup, environment, reference)
 
     assert len(interp) == 3 * setup.trace_count * setup.invocations
@@ -74,7 +74,7 @@ def test_runtime_grid_replay_identical(monkeypatch, workload_name, runtime):
         workload, workload.technique, 8, runtime, setup, environment, reference
     )
     monkeypatch.setenv("REPRO_REPLAY", "1")
-    _worker_records.clear()
+    _worker_cache.clear()
     replay = run_benchmark(
         workload, workload.technique, 8, runtime, setup, environment, reference
     )
@@ -93,7 +93,7 @@ def test_hibernus_grid_end_to_end(monkeypatch):
 
     interp = _grid_runs(workload, configs, "hibernus", setup, environment, reference)
     monkeypatch.setenv("REPRO_REPLAY", "1")
-    _worker_records.clear()
+    _worker_cache.clear()
     replay = _grid_runs(workload, configs, "hibernus", setup, environment, reference)
 
     assert replay == interp
@@ -106,12 +106,13 @@ def test_replay_gate_off_records_nothing(monkeypatch):
     setup = _setup()
     workload = make_workload("Var", setup.scale)
     environment = _environment(workload, setup)
-    _worker_records.clear()
+    _worker_cache.clear()
     run_benchmark(
         workload, "precise", None, "clank", setup, environment,
         workload.decoded_reference(),
     )
-    assert not _worker_records
+    entries = [_worker_cache.get(key) for key in _worker_cache.keys()]
+    assert not [entry for entry in entries if getattr(entry, "record", None)]
 
 
 def test_memoized_kernel_not_replayable():
