@@ -321,12 +321,12 @@ def check_bench(
     return failures
 
 
-def _grid_sample_tuples(results) -> List[tuple]:
-    """Flatten BenchmarkResults into comparable per-sample tuples."""
+def _grid_sample_tuples(run_lists) -> List[tuple]:
+    """Flatten per-configuration sample lists into comparable tuples."""
     return [
         (r.wall_ms, r.on_ms, r.active_cycles, r.outages, r.skim_taken, r.error)
-        for result in results
-        for r in result.runs
+        for runs in run_lists
+        for r in runs
     ]
 
 
@@ -334,19 +334,21 @@ def run_grid_bench(reps: int = 3, scale: str = "default") -> dict:
     """Time the Figure-10 grid: interpreter vs replay engine, then the
     content-addressed store cold vs warm.
 
-    All passes run the identical serial grid (``REPRO_JOBS``,
-    ``REPRO_REPLAY`` and ``REPRO_STORE`` are controlled here, overriding
-    the environment). Recording is timed as its own phase: ``record_s``
-    is a cold rebuild of every config's commit log, while the replay
-    passes then run against *warm* records — one record pass serves the
-    whole grid, and the replay passes never re-record
+    Every pass runs the identical serial grid. The interpreter phase
+    runs each sample through ``_run_sample``, the golden model, which
+    never records; every other pass goes through ``run_benchmark``, on
+    the replay engine. Recording is timed as its own phase:
+    ``record_s`` is a cold rebuild of every config's commit log, while
+    the replay passes then run against *warm* records — one record pass
+    serves the whole grid, and the replay passes never re-record
     (regression-tested in ``tests/test_store.py``). The store phases
     both use the replay engine: ``store_cold_s`` computes the grid into
-    an empty store
-    (wiped every rep), ``store_warm_s`` reruns it as pure cache hits;
-    their ratio is ``store_speedup``. Sample results from every pass
-    are compared field by field; ``identical`` reports the outcome
-    across all engines *and* the store's cold/warm answers.
+    an empty store (wiped every rep), ``store_warm_s`` reruns it as pure
+    cache hits; their ratio is ``store_speedup``. ``REPRO_STORE`` is set
+    here for the store phases only, overriding the environment. Sample
+    results from every pass are compared field by field; ``identical``
+    reports the outcome across both engines *and* the store's cold/warm
+    answers.
     """
     import shutil
     import tempfile
@@ -354,27 +356,48 @@ def run_grid_bench(reps: int = 3, scale: str = "default") -> dict:
     from .experiments.common import (
         ExperimentSetup,
         _cache_record,
+        _run_sample,
+        _sample_specs,
         _worker_cache,
         build_anytime,
         calibrate_environment,
         measure_precise_cycles,
-        run_benchmark_suite,
+        run_benchmark,
     )
     from .sim.replay import record_run
     from .store.cas import STORE_ENV
 
     score = machine_score()
     setup = ExperimentSetup(scale=scale)
-    workload = make_workload(GRID_WORKLOAD, scale)
-    environment = calibrate_environment(measure_precise_cycles(workload), setup)
-    reference = workload.decoded_reference()
-    configs = [("precise", None), (workload.technique, 8), (workload.technique, 4)]
-    samples = len(configs) * setup.trace_count * setup.invocations
 
-    def one_pass():
-        return run_benchmark_suite(
-            workload, configs, GRID_RUNTIME, setup, environment, reference
-        )
+    def grid(name: str, runtime: str):
+        """The grid's workload and its interpreter and replay passes."""
+        workload = make_workload(name, scale)
+        environment = calibrate_environment(measure_precise_cycles(workload), setup)
+        reference = workload.decoded_reference()
+        configs = [("precise", None), (workload.technique, 8), (workload.technique, 4)]
+
+        def interp_pass():
+            return [
+                [_run_sample(spec) for spec in _sample_specs(
+                    workload, mode, bits, runtime, setup, environment, reference,
+                )]
+                for mode, bits in configs
+            ]
+
+        def replay_pass():
+            return [
+                run_benchmark(
+                    workload, mode, bits, runtime, setup, environment,
+                    reference, jobs=1,
+                ).runs
+                for mode, bits in configs
+            ]
+
+        return workload, configs, interp_pass, replay_pass
+
+    workload, configs, interp_pass, replay_pass = grid(GRID_WORKLOAD, GRID_RUNTIME)
+    samples = len(configs) * setup.trace_count * setup.invocations
 
     def build_records():
         # A fresh log per config each rep, paired with the kernel the
@@ -388,16 +411,13 @@ def run_grid_bench(reps: int = 3, scale: str = "default") -> dict:
             )
             _cache_record(kkey, kernel, record_run(kernel, workload.inputs))
 
-    saved = {
-        key: os.environ.pop(key, None)
-        for key in ("REPRO_REPLAY", "REPRO_JOBS", STORE_ENV)
-    }
+    saved_store = os.environ.pop(STORE_ENV, None)
     try:
-        one_pass()  # warm the shared workload/kernel/trace caches
+        replay_pass()  # warm the shared workload/kernel/trace/record caches
         interp_times: List[float] = []
         for _ in range(reps):
             start = time.perf_counter()
-            interp_results = one_pass()
+            interp_runs = interp_pass()
             interp_times.append(time.perf_counter() - start)
 
         record_times: List[float] = []
@@ -406,16 +426,15 @@ def run_grid_bench(reps: int = 3, scale: str = "default") -> dict:
             build_records()
             record_times.append(time.perf_counter() - start)
 
-        os.environ["REPRO_REPLAY"] = "1"
         replay_times: List[float] = []
         for _ in range(reps):
             start = time.perf_counter()
-            replay_results = one_pass()
+            replay_runs = replay_pass()
             replay_times.append(time.perf_counter() - start)
 
-        # Store phases, both on the replay engine (still REPRO_REPLAY=1):
-        # cold evaluates the grid into an empty store, warm serves it
-        # back as pure hits. The last cold rep leaves the store full.
+        # Store phases: cold evaluates the grid into an empty store,
+        # warm serves it back as pure hits. The last cold rep leaves the
+        # store full.
         store_dir = tempfile.mkdtemp(prefix="repro-grid-store-")
         os.environ[STORE_ENV] = store_dir
         try:
@@ -423,12 +442,12 @@ def run_grid_bench(reps: int = 3, scale: str = "default") -> dict:
             for _ in range(reps):
                 shutil.rmtree(store_dir, ignore_errors=True)
                 start = time.perf_counter()
-                store_cold_results = one_pass()
+                store_cold_runs = replay_pass()
                 store_cold_times.append(time.perf_counter() - start)
             store_warm_times: List[float] = []
             for _ in range(reps):
                 start = time.perf_counter()
-                store_warm_results = one_pass()
+                store_warm_runs = replay_pass()
                 store_warm_times.append(time.perf_counter() - start)
         finally:
             del os.environ[STORE_ENV]
@@ -439,44 +458,26 @@ def run_grid_bench(reps: int = 3, scale: str = "default") -> dict:
         # per engine, with the store off so each engine computes.
         # Gated on bit-identity (full SampleRun equality, accuracy field
         # included); excluded from the timing history.
-        del os.environ["REPRO_REPLAY"]
-        nn_workload = make_workload(NN_GRID_WORKLOAD, scale)
-        nn_environment = calibrate_environment(
-            measure_precise_cycles(nn_workload), setup
+        _, _, nn_interp_pass, nn_replay_pass = grid(
+            NN_GRID_WORKLOAD, NN_GRID_RUNTIME
         )
-        nn_reference = nn_workload.decoded_reference()
-        nn_configs = [
-            ("precise", None),
-            (nn_workload.technique, 8),
-            (nn_workload.technique, 4),
-        ]
-
-        def nn_pass():
-            return run_benchmark_suite(
-                nn_workload, nn_configs, NN_GRID_RUNTIME, setup,
-                nn_environment, nn_reference,
-            )
-
-        nn_interp = nn_pass()
-        os.environ["REPRO_REPLAY"] = "1"
-        nn_replay = nn_pass()
+        nn_interp = nn_interp_pass()
+        nn_replay = nn_replay_pass()
     finally:
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
+        if saved_store is not None:
+            os.environ[STORE_ENV] = saved_store
 
-    nn_runs = [run for result in nn_interp for run in result.runs]
-    nn_identical = nn_runs == [run for result in nn_replay for run in result.runs]
-    nn_accuracy = next(
-        (r.median_accuracy for r in nn_interp if r.bits == 8), None
-    )
-    interp_tuples = _grid_sample_tuples(interp_results)
+    nn_runs = [run for runs in nn_interp for run in runs]
+    nn_identical = nn_runs == [run for runs in nn_replay for run in runs]
+    nn_8bit = [
+        run.accuracy for run in nn_interp[1] if run.accuracy is not None
+    ]
+    nn_accuracy = statistics.median(nn_8bit) if nn_8bit else None
+    interp_tuples = _grid_sample_tuples(interp_runs)
     identical = (
-        interp_tuples == _grid_sample_tuples(replay_results)
-        and interp_tuples == _grid_sample_tuples(store_cold_results)
-        and interp_tuples == _grid_sample_tuples(store_warm_results)
+        interp_tuples == _grid_sample_tuples(replay_runs)
+        and interp_tuples == _grid_sample_tuples(store_cold_runs)
+        and interp_tuples == _grid_sample_tuples(store_warm_runs)
     )
     interp_s = statistics.median(interp_times)
     record_s = statistics.median(record_times)

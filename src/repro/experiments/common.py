@@ -12,21 +12,22 @@ livelock).
 The paper invokes each application 3 times on 9 voltage traces and
 reports medians; :func:`run_benchmark` mirrors that.
 
-Engines: samples run on the interpreter
-(:meth:`~repro.core.anytime.AnytimeKernel.run_intermittent`) by default.
-``REPRO_REPLAY=1`` records each (workload, scale, mode, bits)
-configuration once and replays all its samples as lanes of one
-commit-log walk (:mod:`repro.runtime.batch_executor`); lanes the replay
-engine cannot reproduce exactly run on the interpreter instead. Both
+Engines: the replay engine runs every grid. Each (workload, scale,
+mode, bits) configuration is recorded once and all its samples replay
+as lanes of one commit-log walk (:mod:`repro.runtime.batch_executor`);
+calibration reads the precise build's log too. The interpreter
+(:meth:`~repro.core.anytime.AnytimeKernel.run_intermittent`) is the
+golden model: it runs the lanes the replay engine cannot reproduce
+exactly, the builds it cannot record, and one sample at a time through
+:func:`_run_sample`, which the differential tests compare against. Both
 engines produce identical samples.
 
-Parallelism: the trace x invocation grid is embarrassingly parallel and
-every sample is deterministic given (workload name, scale, mode, bits,
-runtime, environment, trace index, invocation). Setting ``REPRO_JOBS=N``
-(N > 1) fans the grid over N worker processes via
-:class:`concurrent.futures.ProcessPoolExecutor` — one sample per task on
-the interpreter, one configuration per task under replay; results are
-merged in grid order, so the output is identical to the serial run.
+Parallelism: every sample is deterministic given (workload name, scale,
+mode, bits, runtime, environment, trace index, invocation). Setting
+``REPRO_JOBS=N`` (N > 1) fans the grid over N worker processes via
+:class:`concurrent.futures.ProcessPoolExecutor`, one configuration per
+task; results are merged in grid order, so the output is identical to
+the serial run.
 
 Caching: with ``REPRO_STORE=<dir>`` every finished configuration is
 persisted to (and served from) the global content-addressed result
@@ -224,8 +225,25 @@ def build_anytime(workload: Workload, mode: str, bits: Optional[int] = None,
 
 
 def measure_precise_cycles(workload: Workload) -> int:
-    """Continuous-power runtime of the precise build (the baseline)."""
-    return build_anytime(workload, "precise").run(workload.inputs).cycles
+    """Continuous-power runtime of the precise build (the baseline).
+
+    Read off the precise build's commit log: the record lands in the
+    :data:`_worker_cache` entry the precise configuration's replay
+    groups reuse. The build runs on the interpreter when it cannot be
+    recorded, or for a workload without a ``scale`` (not rebuildable by
+    name, so not cached)."""
+    if workload.scale is None:
+        kernel = build_anytime(workload, "precise")
+    else:
+        kkey = (workload.name, workload.scale, "precise", None)
+        entry = _worker_cache.get(kkey)
+        if entry is None:
+            entry = _worker_cache.add(kkey, _Compiled(build_anytime(workload, "precise")))
+        kernel = entry.kernel
+        record = _record_for(kkey, kernel, workload.inputs)
+        if record.replayable:
+            return record.cum_cost[-1]
+    return kernel.run(workload.inputs).cycles
 
 
 #: Set after the first invalid-``REPRO_JOBS`` warning so a run that
@@ -261,14 +279,6 @@ def experiment_jobs() -> int:
             )
         return 1
     return jobs
-
-
-def experiment_replay() -> bool:
-    """True when ``REPRO_REPLAY=1``: the replay engine runs each
-    configuration's whole trace x invocation grid as lanes of one
-    commit-log walk (:mod:`repro.runtime.batch_executor`), sending any
-    lane it cannot reproduce exactly to the interpreter."""
-    return os.environ.get("REPRO_REPLAY", "").strip() == "1"
 
 
 #: Warn-once latches for the robustness knobs, mirroring
@@ -408,13 +418,14 @@ class SampleSpec:
 #: without evicting, in its own accounting (the mixed-open and grid-cli
 #: plans of bench/workloads.py, seed 41, run in one process):
 #: mixed-open reuses 9 default-scale records (MatMul, MLP and Home x
-#: precise/8-bit/4-bit), 29.2 MiB with their keyframe deltas and
+#: precise/8-bit/4-bit), 6.9 MiB with their keyframe deltas and
 #: materialization state, plus 0.6 MiB of kernels and 56 trace sets
-#: of 3 x 3000 ms (7.7 MiB with their energy arrays): 37.5 MiB in all.
-#: grid-cli's 12 kernels take 0.8 MiB. 64 MiB holds either with at
-#: least 26 MiB to spare, while a long run no longer keeps every record
-#: and trace set it ever built (cold-configs' 61 configurations held
-#: 574 MiB in one process without a bound).
+#: of 3 x 3000 ms (7.7 MiB with their energy arrays): 15.2 MiB in all.
+#: grid-cli's 12 records take 14.8 MiB (Conv2d swp-4 alone 4.7 MiB)
+#: and its kernels and trace sets 1.2 MiB: 16.5 MiB. 64 MiB holds
+#: either with room to spare, while a long run no longer keeps every
+#: record and trace set it ever built (cold-configs' 61 configurations
+#: held 574 MiB in one process without a bound).
 CACHE_BUDGET_BYTES = 64 << 20
 
 #: Retained bytes of a compiled kernel per program instruction, with the
@@ -613,14 +624,10 @@ def _deadlined(work, arg):
 
 
 def _run_sample(spec: SampleSpec) -> SampleRun:
-    """Execute one (trace, invocation) sample on the interpreter; runs
-    in a worker process under ``REPRO_JOBS``."""
+    """Execute one (trace, invocation) sample on the interpreter, the
+    golden model: the service's level-k preview and the differential
+    checks against the replay engine run samples through here."""
     return _deadlined(_execute_sample, spec)
-
-
-def _run_samples(specs: List[SampleSpec]) -> List[SampleRun]:
-    """The interpreter's unit of pooled work, in the replay path's shape."""
-    return [_run_sample(spec) for spec in specs]
 
 
 def _kernel_key(spec: SampleSpec) -> Tuple[str, str, str, Optional[int]]:
@@ -723,30 +730,22 @@ def _execute_sample(spec: SampleSpec) -> SampleRun:
     )
 
 
-def _record_for(spec: SampleSpec, kernel: AnytimeKernel, workload) -> ReplayRecord:
-    """The configuration's commit log, recorded once per cache residency
-    of its kernel (an evicted pair is rebuilt, never different)."""
-    kkey = _kernel_key(spec)
+def _record_for(kkey: tuple, kernel: AnytimeKernel, inputs) -> ReplayRecord:
+    """The commit log of the configuration under kernel key ``kkey``,
+    recorded once per cache residency of its kernel (an evicted pair is
+    rebuilt, never different)."""
     entry = _worker_cache.get(kkey)
     if entry is not None and entry.kernel is kernel and entry.record is not None:
         return entry.record
-    record = record_run(kernel, workload.inputs)
+    record = record_run(kernel, inputs)
     _cache_record(kkey, kernel, record)
     if TRACER.enabled:
+        name, _scale, mode, bits = kkey
         TRACER.emit(
-            "record_run", workload=spec.workload_name,
-            mode=spec.mode, bits=spec.bits,
+            "record_run", workload=name, mode=mode, bits=bits,
             replayable=record.replayable,
             reason=record.reason or None, length=record.length,
             recorder=record.recorder,
-        )
-    if PROFILER.enabled and record.replayable:
-        # One folded profile per configuration (the replayed
-        # samples all consume this same recorded stream).
-        PROFILER.collect_record(
-            record,
-            kernel.compiled.program,
-            f"{kernel.compiled.program.name}/{spec.runtime}",
         )
     return record
 
@@ -806,8 +805,8 @@ def _finalize_sample(
 
 
 def _run_config_group(specs: List[SampleSpec]) -> List[SampleRun]:
-    """The replay path: one configuration's samples as lanes of one
-    commit-log walk.
+    """One configuration's samples as lanes of one commit-log walk: the
+    harness's unit of work.
 
     All specs share (workload, scale, mode, bits, runtime) — they are
     one configuration's trace x invocation grid in grid order. The
@@ -817,8 +816,9 @@ def _run_config_group(specs: List[SampleSpec]) -> List[SampleRun]:
     counted as a ``replay_fallback``. Under ``REPRO_TRACE`` or
     ``REPRO_SAMPLE_TIMEOUT`` each sample is its own one-lane group, so
     its events stay between its own ``sample_start`` and
-    ``sample_end`` and its deadline covers only itself. Returns samples
-    in grid order."""
+    ``sample_end`` and its deadline covers only itself. Under
+    ``REPRO_PROFILE`` the configuration's recorded stream is folded
+    once per call. Returns samples in grid order."""
     from ..runtime.batch_executor import run_batch_group
 
     if TRACER.enabled or experiment_sample_timeout() is not None:
@@ -832,7 +832,14 @@ def _run_config_group(specs: List[SampleSpec]) -> List[SampleRun]:
         traces = [_sample_trace(spec) for spec in group]
         if TRACER.enabled:
             _emit_sample_start(first)
-        record = _record_for(first, kernel, workload)
+        record = _record_for(_kernel_key(first), kernel, workload.inputs)
+        if PROFILER.enabled and record.replayable and first is specs[0]:
+            # One folded profile per configuration (the replayed
+            # samples all consume this same recorded stream).
+            PROFILER.collect_record(
+                record, kernel.compiled.program,
+                f"{kernel.compiled.program.name}/{first.runtime}",
+            )
         energy = _energy_model(first.runtime)
         runs = run_batch_group(
             kernel, record, workload.inputs,
@@ -1057,12 +1064,11 @@ def _map_samples(specs: List[SampleSpec], jobs: int) -> List[SampleRun]:
     """Ordered, self-healing map over the grid; returns samples in
     grid order.
 
-    The unit of work is one sample on the interpreter and one
-    configuration under ``REPRO_REPLAY`` (its samples share one
-    commit-log walk), so ``REPRO_JOBS`` shards by sample or by config.
-    Serial when ``jobs <= 1`` or there is a single unit. Otherwise each
-    unit is submitted as its own future and collected in submission
-    order, so the merged result list is independent of worker
+    The unit of work is one configuration (:func:`_run_config_group`:
+    its samples share one commit-log walk), so ``REPRO_JOBS`` shards by
+    configuration. Serial when ``jobs <= 1`` or there is a single unit.
+    Otherwise each unit is submitted as its own future and collected in
+    submission order, so the merged result list is independent of worker
     scheduling — and a failure is scoped to its unit, not the grid: a
     unit whose worker dies (OOM killer, segfaulting interpreter,
     ``BrokenProcessPool``) or errors in flight is retried *serially in
@@ -1072,19 +1078,14 @@ def _map_samples(specs: List[SampleSpec], jobs: int) -> List[SampleRun]:
     :class:`~repro.errors.IncompleteRun`) still surfaces as the typed
     error it is; an unlucky worker crash never kills an hours-long
     grid."""
-    if experiment_replay():
-        work, noun = _run_config_group, "config group"
-        units = [
-            list(group)
-            for _key, group in itertools.groupby(
-                specs, key=lambda spec: (_kernel_key(spec), spec.runtime)
-            )
-        ]
-    else:
-        work, noun = _run_samples, "sample"
-        units = [[spec] for spec in specs]
+    units = [
+        list(group)
+        for _key, group in itertools.groupby(
+            specs, key=lambda spec: (_kernel_key(spec), spec.runtime)
+        )
+    ]
     if jobs <= 1 or len(units) <= 1:
-        return [run for unit in units for run in work(unit)]
+        return [run for unit in units for run in _run_config_group(unit)]
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures import TimeoutError as FutureTimeout
     from concurrent.futures.process import BrokenProcessPool
@@ -1096,7 +1097,7 @@ def _map_samples(specs: List[SampleSpec], jobs: int) -> List[SampleRun]:
     wedged = False
     pool = ProcessPoolExecutor(max_workers=min(jobs, len(units)))
     try:
-        futures = [pool.submit(work, unit) for unit in units]
+        futures = [pool.submit(_run_config_group, unit) for unit in units]
         for index, future in enumerate(futures):
             # Hard per-future backstop: the in-worker deadline is
             # cooperative, so give each sample several budgets of slack
@@ -1123,33 +1124,31 @@ def _map_samples(specs: List[SampleSpec], jobs: int) -> List[SampleRun]:
         pool.shutdown(wait=not wedged, cancel_futures=True)
     if failures:
         preview = "; ".join(
-            f"{noun} {index}: {reason}" for index, reason in failures[:3]
+            f"config group {index}: {reason}" for index, reason in failures[:3]
         )
         more = "" if len(failures) <= 3 else f" (+{len(failures) - 3} more)"
         print(
-            f"repro: retrying {len(failures)}/{len(units)} {noun}s "
+            f"repro: retrying {len(failures)}/{len(units)} config groups "
             f"serially after worker failures [{preview}{more}]",
             file=sys.stderr,
         )
         for index, _reason in failures:
-            results[index] = work(units[index])
+            results[index] = _run_config_group(units[index])
     return [run for unit_runs in results for run in unit_runs]
 
 
-def _finish_result(
-    result: BenchmarkResult, setup: ExperimentSetup, engine: Optional[str] = None
-) -> BenchmarkResult:
+def _finish_result(result: BenchmarkResult, setup: ExperimentSetup) -> BenchmarkResult:
     """Observability hooks every finished configuration passes through.
 
     Feeds the active run manifest (no-op when none is open) and, when
     ``REPRO_METRICS=<path>`` is set, appends one JSONL rollup line for
     the configuration. Runs in the parent process only: worker metrics
-    arrived inside the :class:`SampleRun` objects. ``engine`` defaults
-    to the one ``REPRO_REPLAY`` selects.
+    arrived inside the :class:`SampleRun` objects. The configuration's
+    ``engine`` is ``"replay"``, the engine of every grid; samples that
+    fell back show in the rollup's ``engine.*`` counters.
     """
     metrics = result.merged_metrics()
-    if engine is None:
-        engine = "replay" if experiment_replay() else "interp"
+    engine = "replay"
     setup_info = {
         "scale": setup.scale,
         "trace_count": setup.trace_count,

@@ -189,6 +189,12 @@ class Instruction:
         return hash((self.op, self.rd, self.rn, self.rm, self.imm, self.label))
 
 
+def mem_width(op: str) -> int:
+    """Bytes a load or store mnemonic moves: 4 (``LDR``/``STR``), 1
+    (``LDRB``/``STRB``) or 2 (``LDRH``/``STRH``)."""
+    return 4 if op.endswith("R") else (1 if op.endswith("B") else 2)
+
+
 def asp_width(op: str) -> int:
     """Subword width of a ``MUL_ASP[S]<B>`` mnemonic (raises for others)."""
     if op in ASP_OPS:

@@ -35,8 +35,8 @@ MANIFEST_ENV = "REPRO_MANIFEST"
 
 #: Environment knobs worth stamping into every manifest.
 _ENV_KEYS = (
-    "REPRO_JOBS", "REPRO_REPLAY", "REPRO_TRACE", "REPRO_METRICS",
-    "REPRO_PROFILE", "REPRO_LEDGER",
+    "REPRO_JOBS", "REPRO_TRACE", "REPRO_METRICS", "REPRO_PROFILE",
+    "REPRO_LEDGER",
 )
 
 
@@ -90,9 +90,10 @@ class RunManifest:
     ) -> None:
         """Append one finished configuration's entry.
 
-        ``engine`` is ``"interp"`` or ``"replay"`` (what ``REPRO_REPLAY``
-        selected for the grid; individual samples may still have fallen
-        back, which the metrics rollup's ``engine.*`` counters show).
+        ``engine`` is the engine that ran the grid: ``"replay"`` for
+        every harness grid (individual samples may still have fallen
+        back to ``"interp"``, which the metrics rollup's ``engine.*``
+        counters show).
         """
         self.results.append(
             {

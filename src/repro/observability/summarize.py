@@ -10,7 +10,8 @@ Attribution model: events carry the emitting ``pid``; within one pid
 the stream is sequential, so each ``sample_start`` opens a sample that
 owns every following event until its ``sample_end``. Events emitted
 outside any sample (e.g. from ad-hoc API use) are tallied as orphans
-rather than dropped.
+rather than dropped, except ``record_run``: a calibration records the
+precise build before any sample starts.
 """
 
 from __future__ import annotations
@@ -140,7 +141,8 @@ def summarize_trace(path: str) -> TraceSummary:
                 last_tick[pid] = tick
 
             if sample is None:
-                summary.orphan_events[kind] += 1
+                if kind != "record_run":
+                    summary.orphan_events[kind] += 1
                 if kind == "skim_arm":
                     summary.skim_arms += event.get("count", 1)
                 elif kind == "skim_take":

@@ -137,9 +137,9 @@ class ClankRuntime(IntermittentRuntime):
 class ClankReplayPolicy(ReplayPolicy):
     """Clank's WAR tracking and watchdog, replayed over log segments.
 
-    A checkpoint is a stream position. ``ReplayRecord.next_war`` gives
-    the position of the first store after a fresh tracking start that
-    hits a read-first byte — exactly where the live runtime's store
+    A checkpoint is a stream position. ``ReplayRecord.next_war_before``
+    gives the position of the first store after a fresh tracking start
+    that hits a read-first byte — exactly where the live runtime's store
     hook checkpoints before the store commits — so a chunk advances in
     whole WAR-free segments (one bisect each) and pays the checkpoint
     cost when it crosses that store. Because every checkpoint lands

@@ -5,10 +5,10 @@ loop: :func:`prepare` rejects jobs that cannot compile and does the
 (cached) calibration work needed to fingerprint a job, and
 :func:`compute` evaluates a cache miss on the replay engine (one
 commit-log walk for the whole trace x invocation grid), sending any
-sample it cannot reproduce exactly to the interpreter, as
-``REPRO_REPLAY=1`` does. Results are therefore bit-identical to a
-serial CLI run of the same configuration, which is what lets the store
-serve them to everyone.
+sample it cannot reproduce exactly to the interpreter, as every
+harness grid does. Results are therefore bit-identical to a serial CLI
+run of the same configuration, which is what lets the store serve them
+to everyone.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ def prepare(spec: JobSpec) -> JobContext:
     Rejects a mode the workload's technique cannot compile and SWV
     bits the compiler cannot pack (before the server journals the job),
     and drops ``bits`` from precise jobs, which ignore it, so equal work
-    shares one fingerprint. Runs the
+    shares one fingerprint. Records the
     workload's precise build once (cached per process) to size the
     storage capacitor — the same calibration every experiment module
     performs — so the fingerprint matches what a direct
@@ -148,5 +148,5 @@ def compute(
     result = BenchmarkResult(spec.workload, spec.mode, spec.bits, spec.runtime)
     result.runs.extend(_run_config_group(specs))
     payload = _store_payload(result, ctx.fingerprint, spec.scale, ctx.setup)
-    _finish_result(result, ctx.setup, engine="replay")
+    _finish_result(result, ctx.setup)
     return payload

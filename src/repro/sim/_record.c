@@ -3,8 +3,10 @@
  *
  * Executes one program under continuous power over the CPU's own memory
  * buffers and writes the commit-log columns that ReplayRecord stores:
- * retired PCs, the cumulative cost prefix, the per-instruction access
- * log, the store log, SKM retires and keyframes. The semantics mirror
+ * retired PCs (uint16), the cumulative cost prefix (uint32), the access
+ * log (stream position and address of every load and store; the opcode
+ * at the position fixes kind and width), the store log, SKM retires and
+ * keyframes. The semantics mirror
  * the handlers of repro/sim/decode.py exactly, quirks included:
  * AND/ORR/EOR write unmasked (possibly negative) results, shift
  * amounts saturate at 32, ASR sign-extends, MUL_ASP/MUL_ASPS use their
@@ -20,8 +22,10 @@
  * arrays and calls again; no memory is allocated here. Only a clean
  * HALT returns WN_HALT. Every other ending (an access outside
  * non-volatile RAM, a bad PC, the instruction limit, a cost outside
- * [worst - 1, worst]) returns a status and the caller re-runs the
- * Python recorder, which produces the verdict.
+ * [worst - 1, worst], a cycle count past max_cycles, which the caller
+ * sets to the cost column's range) returns a status and the caller
+ * re-runs the Python recorder, which produces the verdict. The caller
+ * only passes programs whose PCs fit the uint16 PC column.
  *
  * Standard C only, no Python headers: built with cc -O2 -shared -fPIC
  * and called through ctypes, which releases the GIL for each call.
@@ -47,7 +51,7 @@ enum { F_OP, F_RD, F_RN, F_RM, F_IMM, F_TARGET, F_AUX, F_WORST, WN_FIELDS };
 
 /* Output columns; element widths in col_width. */
 enum {
-    COL_PCS, COL_CUM, COL_MEM_KIND, COL_MEM_ADDR, COL_MEM_SIZE,
+    COL_PCS, COL_CUM, COL_ACC_POS, COL_ACC_ADDR,
     COL_STORE_POS, COL_STORE_ADDR, COL_STORE_SIZE, COL_STORE_VALUE,
     COL_SKIM_POS, COL_SKIM_TARGET,
     COL_KF_POS, COL_KF_REGS, COL_KF_FLAGS, COL_KF_PC,
@@ -55,15 +59,13 @@ enum {
 };
 
 static const int col_width[WN_COLUMNS] = {
-    4, 8, 1, 4, 1,
+    2, 4, 4, 4,
     8, 4, 1, 4,
     8, 8,
     8, 8, 1, 8,
 };
 
-enum { WN_HALT, WN_MORE, WN_UNSAFE, WN_FAULT, WN_LIMIT, WN_COST };
-
-enum { KIND_LOAD = 1, KIND_STORE = 2 };
+enum { WN_HALT, WN_MORE, WN_UNSAFE, WN_FAULT, WN_LIMIT, WN_COST, WN_RANGE };
 
 #define M32 0xFFFFFFFFull
 #define SIGN32 0x80000000ull
@@ -154,8 +156,8 @@ static uint64_t vector_op(uint64_t a, uint64_t b, int64_t width, int sub)
 int wn_record(const int64_t *code, int64_t n, int64_t nregions,
               const int64_t *regions, uint8_t *const *data,
               int64_t interval, int64_t max_instructions,
-              int64_t full_width, int64_t chunk, wn_state *st,
-              wn_col *cols)
+              int64_t max_cycles, int64_t full_width, int64_t chunk,
+              wn_state *st, wn_col *cols)
 {
     int64_t r[16];
     int fn = (int)(st->flags & 1), fz = (int)(st->flags >> 1 & 1);
@@ -173,7 +175,7 @@ int wn_record(const int64_t *code, int64_t n, int64_t nregions,
     for (;;) {
         const int64_t *in;
         int64_t next, cost = 1, worst;
-        int kind = 0, size = 0, halt = 0;
+        int access = 0, size = 0, halt = 0;
         uint64_t addr = 0;
 
         if (pos >= max_instructions)
@@ -326,14 +328,13 @@ int wn_record(const int64_t *code, int64_t n, int64_t nregions,
             if (!regions[3 * k + 2])
                 return WN_UNSAFE;
             p = data[k] + (addr - (uint64_t)regions[3 * k]);
+            access = 1;
             if (in[F_OP] == OP_LOAD) {
                 r[in[F_RD]] = load_le(p, size);
-                kind = KIND_LOAD;
             } else {
                 uint64_t mask = size == 4 ? M32 : size == 2 ? 0xFFFF : 0xFF;
                 uint32_t value = (uint32_t)((uint64_t)r[in[F_RD]] & mask);
                 store_le(p, size, value);
-                kind = KIND_STORE;
                 PUSH(cols[COL_STORE_POS], int64_t, pos);
                 PUSH(cols[COL_STORE_ADDR], uint32_t, (uint32_t)addr);
                 PUSH(cols[COL_STORE_SIZE], int8_t, (int8_t)size);
@@ -411,11 +412,14 @@ int wn_record(const int64_t *code, int64_t n, int64_t nregions,
         if (cost < worst - 1 || cost > worst)
             return WN_COST;
         total += cost;
-        PUSH(cols[COL_PCS], int32_t, (int32_t)pc);
-        PUSH(cols[COL_CUM], int64_t, total);
-        PUSH(cols[COL_MEM_KIND], int8_t, (int8_t)kind);
-        PUSH(cols[COL_MEM_ADDR], uint32_t, (uint32_t)addr);
-        PUSH(cols[COL_MEM_SIZE], int8_t, (int8_t)size);
+        if (total > max_cycles)
+            return WN_RANGE;
+        PUSH(cols[COL_PCS], uint16_t, (uint16_t)pc);
+        PUSH(cols[COL_CUM], uint32_t, (uint32_t)total);
+        if (access) {
+            PUSH(cols[COL_ACC_POS], uint32_t, (uint32_t)pos);
+            PUSH(cols[COL_ACC_ADDR], uint32_t, (uint32_t)addr);
+        }
         pos++;
         done++;
         if (halt) {

@@ -58,58 +58,86 @@ class BatchIndex:
 
     def __init__(self, record, np) -> None:
         self.np = np
-        self.length = record.length
-
-        kinds = np.asarray(record.mem_kind, dtype=np.int8)
-        acc = np.flatnonzero(kinds)
-        n = record.length
-        if acc.size == 0:
-            empty = np.empty(0, dtype=np.int64)
-            self.war_pos = self.war_ps = self.war_ns = empty
+        self.length = n = record.length
+        empty = np.empty(0, dtype=np.int64)
+        self.war_pos = self.war_ps = self.war_ns = empty
+        if not len(record.acc_pos):
             return
-        sizes = np.asarray(record.mem_size, dtype=np.int64)[acc]
-        addrs = np.asarray(record.mem_addr, dtype=np.int64)[acc]
-        stores = kinds[acc] == _STORE
+        # Kind and width of each access come from its opcode's entry in
+        # the per-PC tables.
+        acc = np.frombuffer(record.acc_pos, dtype=np.uint32)
+        pcs = np.frombuffer(record.pcs, dtype=np.uint16)[acc]
+        kinds = np.frombuffer(record.pc_kind, dtype=np.uint8)[pcs]
+        sizes = np.frombuffer(record.pc_size, dtype=np.uint8)[pcs].astype(np.int64)
+        addrs = np.frombuffer(record.acc_addr, dtype=np.uint32).astype(np.int64)
+        stores = kinds == _STORE
+        del pcs, kinds
+        if not stores.any():
+            return
 
-        # Byte-expand: one row per (access, byte touched).
-        total = int(sizes.sum())
-        starts = np.cumsum(sizes) - sizes
-        offs = np.arange(total, dtype=np.int64) - np.repeat(starts, sizes)
-        byte = np.repeat(addrs, sizes) + offs
-        pos = np.repeat(acc, sizes)
-        store = np.repeat(stores, sizes)
+        # Drop accesses to bytes no store ever writes: such a byte's
+        # next store is n, so its rows would be masked below anyway.
+        written = _expand(np, addrs[stores], sizes[stores])[0]
+        written = np.unique(written)
+        touched = np.zeros(addrs.shape, dtype=bool)
+        for offset in range(4):
+            wide = sizes > offset
+            byte = addrs[wide] + offset
+            at = np.searchsorted(written, byte)
+            np.minimum(at, written.size - 1, out=at)
+            touched[wide] |= written[at] == byte
+        del written
+        keep = np.flatnonzero(touched)
+        if keep.size == 0:
+            return
+        sizes = sizes[keep]
+        stores = stores[keep]
 
-        order = np.lexsort((pos, byte))
+        # Byte-expand: one row per (access, byte touched). Rows come out
+        # in position order, so a stable sort by byte groups each byte's
+        # rows in position order.
+        byte, row = _expand(np, addrs[keep], sizes)
+        del addrs
+        pos = acc[keep].astype(np.int64)[row]
+        store = stores[row]
+        del row, keep, sizes, stores
+        order = np.argsort(byte, kind="stable")
         byte = byte[order]
         pos = pos[order]
         store = store[order]
+        del order
 
         # Group rows by byte; offset each group into a disjoint integer
         # range so one running max/min sweeps all groups at once.
         newg = np.empty(byte.shape, dtype=bool)
         newg[0] = True
         newg[1:] = byte[1:] != byte[:-1]
+        del byte
         gid = np.cumsum(newg) - 1
+        del newg
         span = n + 2
 
         # ps: most recent store to the same byte strictly before the row
         # (-1 if none). Exclusive running max, shifted by one row.
         keyed = np.where(store, pos, -1) + gid * span
         run = np.maximum.accumulate(keyed)
-        prev = np.empty_like(run)
-        prev[0] = -span
-        prev[1:] = run[:-1]
-        ps = prev - gid * span
+        ps = np.empty_like(run)
+        ps[0] = -span
+        ps[1:] = run[:-1]
+        del run
+        ps -= gid * span
         np.maximum(ps, -1, out=ps)
 
         # ns: next store to the same byte strictly after the row
         # (n if none). Exclusive reverse running min, shifted by one.
         keyed = np.where(store, pos, n) + gid * span
         rrun = np.minimum.accumulate(keyed[::-1])[::-1]
-        nxt = np.empty_like(rrun)
-        nxt[-1] = (int(gid[-1]) + 2) * span
-        nxt[:-1] = rrun[1:]
-        ns = nxt - gid * span
+        del keyed
+        ns = np.empty_like(rrun)
+        ns[-1] = (int(gid[-1]) + 2) * span
+        ns[:-1] = rrun[1:]
+        del rrun
+        ns -= gid * span
         np.minimum(ns, n, out=ns)
 
         # Only load rows whose byte is stored again later can trigger.
@@ -136,6 +164,16 @@ class BatchIndex:
         if cand.size:
             return int(cand.min())
         return self.length
+
+
+def _expand(np, addrs, sizes):
+    """``(byte, row)``: every byte ``addrs[row] + k`` (``k < sizes[row]``),
+    rows in order."""
+    total = int(sizes.sum())
+    row = np.repeat(np.arange(sizes.size), sizes)
+    starts = np.cumsum(sizes) - sizes
+    byte = addrs[row] + (np.arange(total, dtype=np.int64) - starts[row])
+    return byte, row
 
 
 def build_batch_index(record) -> Optional[BatchIndex]:

@@ -42,6 +42,7 @@ from ..isa.instructions import (
     STORE_OPS,
     asp_width,
     asv_width,
+    mem_width,
     worst_case_cost,
 )
 from ..isa.program import Program
@@ -170,7 +171,7 @@ def bind_handlers(cpu) -> List[Callable[[], int]]:
 
         # -- memory ------------------------------------------------------
         if op in LOAD_OPS or op in STORE_OPS:
-            size = 4 if op.endswith("R") else (1 if op.endswith("B") else 2)
+            size = mem_width(op)
             reg_offset = rm is not None
             if op in LOAD_OPS:
                 load = {4: load_word, 2: load_half, 1: load_byte}[size]

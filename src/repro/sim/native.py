@@ -19,8 +19,9 @@ and every recording runs on the Python loop.
 
 A native run succeeds only on a clean ``HALT``. Every other ending is
 reported as a cause (``unsafe-access``, ``fault``, ``limit``, ``cost``,
-``out-of-memory``), and so is a program or machine state the core does
-not model (``unsupported``); the caller then re-runs the Python
+``range``, ``out-of-memory``), and so is a program or machine state the
+core does not model (``unsupported``) or a program longer than the PC
+column holds (``range``); the caller then re-runs the Python
 recorder, which stays the golden model and the only producer of
 non-replayable verdicts.
 """
@@ -47,6 +48,7 @@ from ..isa.instructions import (
     STORE_OPS,
     asp_width,
     asv_width,
+    mem_width,
 )
 from .decode import decode_program
 
@@ -76,28 +78,28 @@ _CONDS = ("EQ", "NE", "LT", "GE", "GT", "LE", "LO", "HS", "HI", "LS", "MI",
 _FIELDS = 8
 
 #: Output columns of _record.c, in its order, with their array typecodes.
-_COLUMNS = ("i", "q", "b", "I", "b", "q", "I", "b", "I", "q", "q", "q", "q",
-            "B", "q")
-(_PCS, _CUM, _MEM_KIND, _MEM_ADDR, _MEM_SIZE, _STORE_POS, _STORE_ADDR,
- _STORE_SIZE, _STORE_VALUE, _SKIM_POS, _SKIM_TARGET, _KF_POS, _KF_REGS,
- _KF_FLAGS, _KF_PC) = range(len(_COLUMNS))
+_COLUMNS = ("H", "I", "I", "I", "q", "I", "b", "I", "q", "q", "q", "q", "B",
+            "q")
+(_PCS, _CUM, _ACC_POS, _ACC_ADDR, _STORE_POS, _STORE_ADDR, _STORE_SIZE,
+ _STORE_VALUE, _SKIM_POS, _SKIM_TARGET, _KF_POS, _KF_REGS, _KF_FLAGS,
+ _KF_PC) = range(len(_COLUMNS))
+#: The record attribute each column fills, in column order.
+_RECORD_COLUMNS = (
+    "pcs", "cum_cost", "acc_pos", "acc_addr", "store_pos", "store_addr",
+    "store_size", "store_value", "skim_pos", "skim_target", "kf_pos",
+    "kf_regs", "kf_flags", "kf_pc",
+)
 
 #: Statuses of ``wn_record``: a clean HALT, a full chunk, and the
 #: endings the Python recorder must judge.
 _HALT, _MORE = 0, 1
-_CAUSES = {2: "unsafe-access", 3: "fault", 4: "limit", 5: "cost"}
+_CAUSES = {2: "unsafe-access", 3: "fault", 4: "limit", 5: "cost", 6: "range"}
 
 #: Instructions per ``wn_record`` call: the first chunk is small, so a
 #: short program allocates little, and each next one is four times
 #: larger up to the cap (~3 MB of chunk buffers).
 _FIRST_CHUNK = 1 << 12
 _CHUNK = 1 << 16
-
-#: Keyframe flag tuples by their packed code (n | z<<1 | c<<2 | v<<3).
-_FLAGS = tuple(
-    (bool(code & 1), bool(code & 2), bool(code & 4), bool(code & 8))
-    for code in range(16)
-)
 
 #: Immediates and initial registers the core accepts: within this range
 #: every value the Python handlers can produce fits in int64.
@@ -207,7 +209,7 @@ def _open(path: Path):
         ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,
         ctypes.POINTER(ctypes.c_int64), ctypes.POINTER(ctypes.c_void_p),
         ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-        ctypes.POINTER(_State), ctypes.POINTER(_Column),
+        ctypes.c_int64, ctypes.POINTER(_State), ctypes.POINTER(_Column),
     ]
     lib.wn_record.restype = ctypes.c_int
     lib.wn_column_width.argtypes = [ctypes.c_int]
@@ -250,7 +252,7 @@ def _encode_one(instr, n: int) -> Optional[tuple]:
         elif not _value(imm):
             return None
         if memory:
-            size = 4 if op.endswith("R") else (1 if op.endswith("B") else 2)
+            size = mem_width(op)
             code = OP_LOAD if op in LOAD_OPS else OP_STORE
             return (code, rd, rn, -1 if rm is None else rm, imm, 0, size)
         return (_ALU_CODES[op], rd if op in _WRITES_RD else 0,
@@ -327,19 +329,24 @@ def _chunk_buffers(chunk: int, interval: int):
     return buffers, columns
 
 
-def record_into(record, cpu, max_instructions: int) -> str:
+def record_into(record, cpu, max_instructions: int, max_program: int,
+                max_cycles: int) -> str:
     """Record ``cpu``'s continuous run into ``record``'s log columns.
 
     ``cpu`` holds staged state only (memory, registers, flags, PC); its
     memory is executed in place, so on success it holds the final
-    image. Returns ``"native"`` when the run halted cleanly and
-    ``record`` now holds ``pcs``, ``cum_cost``, the access and store
-    logs, the skim events, ``keyframes`` and ``length``; otherwise
-    returns the cause and leaves ``record`` untouched (``cpu``'s memory
-    is then undefined)."""
+    image. ``max_program`` and ``max_cycles`` are the range guards of
+    the PC and cost columns: a longer program is ``range`` up front, a
+    longer run stops with ``range``. Returns ``"native"`` when the run
+    halted cleanly and ``record`` now holds every log column (``pcs``,
+    ``cum_cost``, the access and store logs, the skim events, the
+    keyframe columns) and ``length``; otherwise returns the cause and
+    leaves ``record`` untouched (``cpu``'s memory is then undefined)."""
     lib = load()
     if lib is None:
         return "unavailable"
+    if len(cpu.program.instructions) > max_program:
+        return "range"
     code = _encode_program(cpu.program)
     multiplier = cpu.multiplier
     regs = cpu.regs.regs
@@ -384,7 +391,7 @@ def record_into(record, cpu, max_instructions: int) -> str:
                 chunks, columns = _chunk_buffers(chunk, interval)
             status = lib.wn_record(
                 code.buffer_info()[0], len(code) // _FIELDS, len(regions),
-                info, region_data, interval, max_instructions,
+                info, region_data, interval, max_instructions, max_cycles,
                 multiplier.full_width, chunk, state, columns,
             )
             if status not in (_HALT, _MORE):
@@ -394,16 +401,9 @@ def record_into(record, cpu, max_instructions: int) -> str:
                 dest.frombytes(memoryview(chunk_buffer).cast("B")[:nbytes])
     except MemoryError:
         return "out-of-memory"
-    (record.pcs, record.cum_cost, record.mem_kind, record.mem_addr,
-     record.mem_size, record.store_pos, record.store_addr, record.store_size,
-     record.store_value) = out[:_SKIM_POS]
-    record.skim_pos = out[_SKIM_POS].tolist()
-    record.skim_target = out[_SKIM_TARGET].tolist()
-    kf_regs, kf_flags, kf_pcs = out[_KF_REGS], out[_KF_FLAGS], out[_KF_PC]
-    record.keyframes = [
-        (pos, tuple(kf_regs[16 * i:16 * i + 16]), _FLAGS[kf_flags[i]],
-         kf_pcs[i])
-        for i, pos in enumerate(out[_KF_POS])
-    ]
+    for name, column in zip(_RECORD_COLUMNS, out):
+        setattr(record, name, column)
+    record.skim_pos = record.skim_pos.tolist()
+    record.skim_target = record.skim_target.tolist()
     record.length = len(record.pcs)
     return "native"

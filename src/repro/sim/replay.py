@@ -4,22 +4,32 @@ Every intermittent sample of one (workload, scale, mode, bits)
 configuration executes the *same deterministic instruction stream* —
 the power trace only decides where outages cut it. :func:`record_run`
 therefore executes the program once under continuous power and captures
-a **commit log**:
+a **commit log**, in flat ``array`` columns:
 
-* the retired PC and cycle cost of every instruction (stored as a
-  cumulative cost prefix sum, so the cost of any stream segment is one
-  subtraction and "how far does this budget reach" is one bisect);
-* every memory access (kind/address/size) — the raw material for
-  replaying Clank's write-after-read idempotency tracking over log
-  segments instead of per-byte hook calls;
+* the retired PC (``pcs``, uint16) and the cumulative cycle cost
+  (``cum_cost``, uint32) of every stream position: 6 bytes per
+  instruction. The cost of any stream segment is one subtraction, and
+  "how far does this budget reach" is one bisect;
+* an access log: the stream position (``acc_pos``) and address
+  (``acc_addr``) of every load and store, 8 bytes per access. The
+  opcode at the position fixes the access's kind and width, so they
+  live in per-PC tables built from the program (``pc_kind``,
+  ``pc_size``). This is the raw material for replaying Clank's
+  write-after-read idempotency tracking over log segments instead of
+  per-byte hook calls;
 * a store log (position, address, size, value read back after the
   store committed) — enough to rebuild the NVM image at any stream
   position from a fresh ``make_cpu`` image;
-* keyframes every ``keyframe_interval`` instructions (registers, flags
-  and PC *before* that instruction), so the architectural state at an
-  arbitrary position is one keyframe restore plus at most one interval
-  of live stepping;
+* keyframes every ``keyframe_interval`` instructions: position, 16
+  registers, a packed flags byte and the PC *before* that instruction
+  (``kf_pos``, ``kf_regs``, ``kf_flags``, ``kf_pc``), so the
+  architectural state at an arbitrary position is one keyframe restore
+  plus at most one interval of live stepping;
 * skim-register arm events (``SKM`` retires) and the final outputs.
+
+The narrow columns are range-guarded: a program longer than
+:data:`MAX_PROGRAM` instructions or a run longer than
+:data:`MAX_CYCLES` cycles is non-replayable.
 
 The log is consumed by the replay engine
 (:func:`repro.runtime.batch_executor.run_batch_group`), which re-runs
@@ -49,44 +59,81 @@ from array import array
 from bisect import bisect_left, bisect_right
 from typing import Dict, List, Optional, Tuple
 
+from ..isa.instructions import LOAD_OPS, STORE_OPS, mem_width
 from . import native
 from .cpu import CPU
 from .decode import decode_program
+from .memory import _zero_block
 
 #: Instructions between architectural keyframes. Reconstructing the
 #: state at an arbitrary position (the skim handoff does this once per
 #: skimmed sample) costs at most this many live steps; each keyframe
-#: costs a few hundred bytes. 256 keeps reconstruction ~free while the
-#: keyframe store stays well under the access log's own footprint.
+#: costs 145 bytes. 256 keeps reconstruction ~free while the keyframe
+#: columns stay well under the access log's own footprint.
 DEFAULT_KEYFRAME_INTERVAL = 256
+
+#: Range guards of the narrow columns: PCs are uint16, cycle counts
+#: (and so stream positions, since every instruction costs a cycle or
+#: more) uint32. The largest program in this repository has 307
+#: instructions and the longest run 10.1 M cycles.
+MAX_PROGRAM = 0xFFFF
+MAX_CYCLES = 0xFFFFFFFF
 
 #: Keyframe memory snapshots are sparse: each keeps only the pages of
 #: this many bytes that the store log wrote before its keyframe, and is
-#: restored over the record's one initial image. A full image is
-#: 1.25 MiB; a tiny kernel writes a few KB.
+#: restored over the record's initial image, which itself keeps only
+#: its nonzero pages. A full image is 1.25 MiB (5120 pages); a tiny
+#: kernel writes a few KB, and the default-scale builds stage 2-32
+#: pages.
 SNAPSHOT_PAGE = 256
 _PAGE_SHIFT = SNAPSHOT_PAGE.bit_length() - 1
+#: Pages compared with zeros at once when finding an image's nonzero
+#: pages; only a block that is not all zero is split into pages.
+_SCAN_BLOCK = 64 * SNAPSHOT_PAGE
 
 #: Byte estimates for :meth:`ReplayRecord.nbytes`. Measured with
-#: tracemalloc on default-scale MatMul precise, Conv2d swp-4 and CNN
-#: tiny swp-1: a keyframe tuple with its register ints and flags takes
-#: 450-530 B; a materialization CPU, beyond its memory regions, takes
-#: 1100-1370 B per program instruction (decoded handlers and their
-#: state). A page-table entry and a keyframe delta's object and dict
-#: overhead are about 100 B each.
-_KEYFRAME_BYTES = 500
+#: tracemalloc on default-scale MatMul precise, Conv2d swp-4, MLP swp-4
+#: and CNN tiny swp-1: a materialization CPU, whose memory regions
+#: belong to the calling thread, takes 1050-1360 B per program
+#: instruction (decoded handlers and their state). A page entry (of the
+#: page table or the initial image) and a keyframe delta's object and
+#: dict overhead are about 100 B each.
 _HANDLER_BYTES = 1200
 _PAGE_BYTES = 110
 _DELTA_BYTES = 100
 
-#: The commit-log columns, each an array.array.
-_ARRAYS = (
-    "pcs", "cum_cost", "mem_kind", "mem_addr", "mem_size",
-    "store_pos", "store_addr", "store_size", "store_value",
-)
+#: The commit-log columns and their array typecodes.
+_COLUMNS = {
+    "pcs": "H", "cum_cost": "I", "acc_pos": "I", "acc_addr": "I",
+    "store_pos": "q", "store_addr": "I", "store_size": "b",
+    "store_value": "I", "kf_pos": "q", "kf_regs": "q", "kf_flags": "B",
+    "kf_pc": "q",
+}
 
 _LOAD = 1
 _STORE = 2
+
+#: Keyframe flag tuples by their packed byte (n | z<<1 | c<<2 | v<<3).
+_FLAGS = tuple(
+    (bool(code & 1), bool(code & 2), bool(code & 4), bool(code & 8))
+    for code in range(16)
+)
+
+#: The calling thread's region buffers (see ReplayRecord.materialize_cpu).
+_THREAD = threading.local()
+
+
+def access_tables(program) -> Tuple[bytes, bytes]:
+    """``(pc_kind, pc_size)``: per program counter, the kind (0 none,
+    1 load, 2 store) and width in bytes of the access its opcode makes."""
+    kinds = bytearray(len(program.instructions))
+    sizes = bytearray(len(program.instructions))
+    for pc, instr in enumerate(program.instructions):
+        op = instr.op
+        if op in LOAD_OPS or op in STORE_OPS:
+            kinds[pc] = _LOAD if op in LOAD_OPS else _STORE
+            sizes[pc] = mem_width(op)
+    return bytes(kinds), bytes(sizes)
 
 
 class ReplayDiverged(Exception):
@@ -102,19 +149,12 @@ class ReplayRecord:
     """The commit log of one continuous run (see module docstring)."""
 
     __slots__ = (
-        "pcs",
-        "cum_cost",
-        "mem_kind",
-        "mem_addr",
-        "mem_size",
-        "store_pos",
-        "store_addr",
-        "store_size",
-        "store_value",
+        *_COLUMNS,
+        "pc_kind",
+        "pc_size",
         "skim_pos",
         "skim_target",
         "peek_costs",
-        "keyframes",
         "keyframe_interval",
         "length",
         "final_outputs",
@@ -135,24 +175,18 @@ class ReplayRecord:
     )
 
     def __init__(self, keyframe_interval: int):
-        self.pcs = array("i")
+        for name, typecode in _COLUMNS.items():
+            setattr(self, name, array(typecode))
         #: cum_cost[j] = cycles to execute stream positions [0, j).
-        self.cum_cost = array("q", [0])
-        self.mem_kind = array("b")
-        self.mem_addr = array("I")
-        self.mem_size = array("b")
-        self.store_pos = array("q")
-        self.store_addr = array("I")
-        self.store_size = array("b")
-        self.store_value = array("I")
+        self.cum_cost.append(0)
+        #: Access kind and width per program counter (access_tables).
+        self.pc_kind = b""
+        self.pc_size = b""
         self.skim_pos: List[int] = []
         self.skim_target: List[int] = []
         #: Worst-case cost per *program counter* (shared with the
         #: decoded program); the executor's commit rule needs it.
         self.peek_costs: List[int] = []
-        #: (position, regs, flags, pc) with state *before* the
-        #: instruction at ``position`` executes.
-        self.keyframes: List[Tuple[int, Tuple[int, ...], tuple, int]] = []
         self.keyframe_interval = keyframe_interval
         self.length = 0
         self.final_outputs: Dict[str, List[int]] = {}
@@ -174,11 +208,13 @@ class ReplayRecord:
         #: the progress policy (repro.runtime.progress).
         self._progress_memo: Dict[tuple, List[int]] = {}
         self._war_memo: Dict[int, int] = {}
-        #: In-flight WAR scans: start -> [frontier, read_first, written].
+        #: In-flight WAR scans: start -> [next access index, read_first,
+        #: written].
         self._war_scans: Dict[int, list] = {}
         self._mat_cache: Optional[tuple] = None
-        #: Bytes of the materialization state: the cached CPU, the
-        #: initial image and every keyframe delta (see nbytes).
+        #: Bytes of the materialization state: the cached CPU's
+        #: handlers, the sparse initial image and every keyframe delta
+        #: (see nbytes).
         self._mat_bytes = 0
         #: (region index, offset, length) of every page the store log
         #: writes, in order of first write, and the stream position of
@@ -192,21 +228,16 @@ class ReplayRecord:
         self._kf_order: List[int] = []
 
     def nbytes(self) -> int:
-        """Approximate bytes this record holds: its columns, keyframes,
-        vectorized index and materialization state. Reads counters
-        only, so it is safe while another thread walks the record."""
-        size = sum(sys.getsizeof(getattr(self, name)) for name in _ARRAYS)
-        size += len(self.keyframes) * _KEYFRAME_BYTES
+        """Approximate bytes this record holds: its columns, vectorized
+        index and materialization state. Reads counters only, so it is
+        safe while another thread walks the record."""
+        size = sum(sys.getsizeof(getattr(self, name)) for name in _COLUMNS)
         size += len(self._pages) * _PAGE_BYTES
         if self.batch:
             size += self.batch.nbytes()
         return size + self._mat_bytes
 
     # -- segment queries ----------------------------------------------------
-
-    def segment_cost(self, start: int, end: int) -> int:
-        """Cycles consumed by stream positions [start, end)."""
-        return self.cum_cost[end] - self.cum_cost[start]
 
     def advance(self, cursor: int, stop: int, budget: int) -> Tuple[int, int]:
         """Furthest commit point within ``budget`` cycles: (position, cost).
@@ -232,26 +263,19 @@ class ReplayRecord:
                 j = prev
         return j, cum[j] - base
 
-    def next_war(self, start: int) -> int:
-        """First WAR-violating store position at/after a fresh start.
-
-        Simulates Clank's read-first/written byte tracking from empty
-        sets at ``start`` (a checkpoint or restore point) over the
-        recorded accesses; returns the position of the first store that
-        hits a read-first byte — where Clank checkpoints *before* the
-        store commits — or ``length`` if the stream halts first.
-        """
-        return self.next_war_before(start, self.length)
-
     def next_war_before(self, start: int, limit: int) -> int:
         """First WAR store position in [start, limit), else ``limit``.
 
-        Like :meth:`next_war` but never scans past ``limit`` — the
+        Simulates Clank's read-first/written byte tracking from empty
+        sets at ``start`` (a checkpoint or restore point) over the
+        recorded accesses: the first store that hits a read-first byte
+        is where Clank checkpoints *before* the store commits. The
         replay policies bound ``limit`` by how far the current budget
         can possibly reach, so unexplored stream tails cost nothing.
         The scan state per ``start`` persists across calls (and the
-        final verdict is memoized), making repeated queries with a
-        growing horizon amortized O(1) per stream position."""
+        final verdict, ``length`` if the stream halts first, is
+        memoized), making repeated queries with a growing horizon
+        amortized O(1) per access."""
         final = self._war_memo.get(start)
         if final is not None:
             return final if final < limit else limit
@@ -272,38 +296,41 @@ class ReplayRecord:
             return limit
         state = self._war_scans.get(start)
         if state is None:
-            state = self._war_scans[start] = [start, set(), set()]
-        pos = state[0]
-        if pos >= limit:
-            return limit
-        read_first = state[1]
-        written = state[2]
-        kinds = self.mem_kind
-        addrs = self.mem_addr
-        sizes = self.mem_size
-        while pos < limit:
-            kind = kinds[pos]
-            if kind:
-                addr = addrs[pos]
-                size = sizes[pos]
-                if kind == _LOAD:
-                    for byte in range(addr, addr + size):
-                        if byte not in written:
-                            read_first.add(byte)
-                else:
-                    hit = False
-                    for byte in range(addr, addr + size):
-                        if byte in read_first:
-                            hit = True
-                            break
-                    if hit:
-                        self._war_memo[start] = pos
-                        del self._war_scans[start]
-                        return pos
-                    written.update(range(addr, addr + size))
-            pos += 1
-        state[0] = pos
-        if pos >= self.length:
+            state = self._war_scans[start] = [
+                bisect_left(self.acc_pos, start), set(), set()
+            ]
+        index, read_first, written = state
+        positions = self.acc_pos
+        addrs = self.acc_addr
+        pcs = self.pcs
+        kinds = self.pc_kind
+        sizes = self.pc_size
+        count = len(positions)
+        while index < count:
+            pos = positions[index]
+            if pos >= limit:
+                break
+            pc = pcs[pos]
+            addr = addrs[index]
+            size = sizes[pc]
+            if kinds[pc] == _LOAD:
+                for byte in range(addr, addr + size):
+                    if byte not in written:
+                        read_first.add(byte)
+            else:
+                hit = False
+                for byte in range(addr, addr + size):
+                    if byte in read_first:
+                        hit = True
+                        break
+                if hit:
+                    self._war_memo[start] = pos
+                    del self._war_scans[start]
+                    return pos
+                written.update(range(addr, addr + size))
+            index += 1
+        state[0] = index
+        if index == count:
             self._war_memo[start] = self.length
             del self._war_scans[start]
         return limit
@@ -347,44 +374,45 @@ class ReplayRecord:
         """A live CPU with registers/flags/PC at ``reg_pos`` and memory
         at ``mem_pos`` (both stream positions; ``mem_pos >= reg_pos``).
 
-        Rebuilds the initial image with ``kernel.make_cpu`` (staging is
-        deterministic), restores the nearest keyframe at/before
-        ``reg_pos``, live-steps the gap (at most one keyframe interval;
-        the stepping itself re-applies the stores it crosses), then
-        fast-applies the remaining store log up to ``mem_pos``. Used for
-        the skim-point handoff to live interpretation and for reading
-        outputs of runs that did not complete.
+        Rebuilds the initial image (staging is deterministic), restores
+        the nearest keyframe at/before ``reg_pos``, live-steps the gap
+        (at most one keyframe interval; the stepping itself re-applies
+        the stores it crosses), then fast-applies the remaining store
+        log up to ``mem_pos``. Used for the skim-point handoff to live
+        interpretation and for reading outputs of runs that did not
+        complete.
 
-        The CPU (with its decoded handlers), the initial memory image
-        and each restored keyframe's memory delta are cached on the
-        record: each call resets the cached instance in place, so
-        callers must be done with the previous materialization when
-        they ask for the next one, and must hold :attr:`lock` while
-        using it (the replay engine holds it across a whole group).
+        The CPU (with its decoded handlers), the nonzero pages of the
+        initial image and each restored keyframe's memory delta are
+        cached on the record. The CPU's memory regions run on buffers
+        owned by the calling thread: each call points them at this
+        thread's buffers and rewrites them whole, which is safe because
+        the decoded handlers re-read ``region.data`` on every access.
+        Each call resets the cached instance in place, so callers must
+        be done with the previous materialization when they ask for the
+        next one, and must hold :attr:`lock` while using it (the replay
+        engine holds it across a whole group).
         """
         cache = self._mat_cache
         if cache is not None and cache[0] is kernel and cache[1] is inputs:
-            cpu = cache[2]
+            cpu, image = cache[2], cache[3]
             cpu.load_hook = None
             cpu.store_hook = None
             cpu.skim_hook = None
         else:
             cpu = kernel.make_cpu(inputs)
-            images = tuple(
-                bytes(r.data) if r.device is None else None
-                for r in cpu.memory.regions
-            )
-            cache = self._mat_cache = (kernel, inputs, cpu, images)
+            image = _nonzero_pages(cpu.memory.regions)
+            self._mat_cache = (kernel, inputs, cpu, image)
             self._kf_deltas = {}
             self._kf_order = []
-            self._mat_bytes = 2 * sum(len(image or b"") for image in images)
+            self._mat_bytes = len(image) * (SNAPSHOT_PAGE + _PAGE_BYTES)
             self._mat_bytes += len(cpu.program.instructions) * _HANDLER_BYTES
         regions = cpu.memory.regions
-        for region, image in zip(regions, cache[3]):
-            if image is not None:
-                region.data[:] = image
-        index = bisect_right(self.keyframes, reg_pos, key=lambda kf: kf[0]) - 1
-        kf_pos, kf_regs, kf_flags, kf_pc = self.keyframes[index]
+        _attach_thread_buffers(regions)
+        for i, offset, page in image:
+            regions[i].data[offset:offset + len(page)] = page
+        index = bisect_right(self.kf_pos, reg_pos) - 1
+        kf_pos = self.kf_pos[index]
         # Memory at a keyframe is a pure function of the keyframe, so
         # the store log up to it replays once per keyframe, starting
         # from the nearest earlier snapshot, and later materializations
@@ -397,7 +425,7 @@ class ReplayRecord:
             start = 0
             if at:
                 self._restore_pages(regions, self._kf_deltas[order[at - 1]])
-                start = self.keyframes[order[at - 1]][0]
+                start = self.kf_pos[order[at - 1]]
             self.apply_stores(cpu.memory, start, kf_pos)
             if self._page_firsts is None:
                 self._index_pages(regions)
@@ -410,9 +438,9 @@ class ReplayRecord:
             self._mat_bytes += len(delta) + _DELTA_BYTES
         else:
             self._restore_pages(regions, delta)
-        cpu.regs.restore(list(kf_regs))
-        cpu.flags.restore(kf_flags)
-        cpu.pc = kf_pc
+        cpu.regs.restore(self.kf_regs[16 * index:16 * index + 16])
+        cpu.flags.restore(_FLAGS[self.kf_flags[index]])
+        cpu.pc = self.kf_pc[index]
         cpu.halted = False
         for _ in range(reg_pos - kf_pos):
             cpu.step()
@@ -449,16 +477,43 @@ class ReplayRecord:
         ]
         self._page_firsts = array("q", firsts.values())
 
-    def state_at(self, position: int) -> Tuple[List[int], tuple, int]:
-        """(regs, flags, pc) before the instruction at ``position``.
 
-        Only valid when ``position`` is a keyframe; the executor uses it
-        for cheap entry-state queries. Arbitrary positions go through
-        :meth:`materialize_cpu`."""
-        for kf_pos, regs, flags, pc in self.keyframes:
-            if kf_pos == position:
-                return list(regs), flags, pc
-        raise ValueError(f"position {position} is not a keyframe")
+def _nonzero_pages(regions) -> List[Tuple[int, int, bytes]]:
+    """``(region index, offset, bytes)`` of every page of the RAM
+    regions holding a nonzero byte. Whole blocks of pages are compared
+    with zeros first, so a mostly zero image costs a few dozen compares."""
+    pages = []
+    block_zeros = _zero_block(_SCAN_BLOCK)
+    page_zeros = _zero_block(SNAPSHOT_PAGE)
+    for i, region in enumerate(regions):
+        if region.device is not None:
+            continue
+        data = region.data
+        for start in range(0, len(data), _SCAN_BLOCK):
+            block = data[start:start + _SCAN_BLOCK]
+            if block == block_zeros[:len(block)]:
+                continue
+            for offset in range(start, start + len(block), SNAPSHOT_PAGE):
+                page = data[offset:offset + SNAPSHOT_PAGE]
+                if page != page_zeros[:len(page)]:
+                    pages.append((i, offset, bytes(page)))
+    return pages
+
+
+def _attach_thread_buffers(regions) -> None:
+    """Point each RAM region at the calling thread's zeroed buffer for
+    its slot and size, so a thread holds one set of region buffers
+    however many records it materializes."""
+    buffers = _THREAD.__dict__.setdefault("buffers", {})
+    for i, region in enumerate(regions):
+        if region.device is not None:
+            continue
+        buffer = buffers.get((i, region.size))
+        if buffer is None:
+            buffer = buffers[(i, region.size)] = bytearray(region.size)
+        else:
+            buffer[:] = _zero_block(region.size)
+        region.data = buffer
 
 
 class _StagedCPU(CPU):
@@ -486,7 +541,7 @@ def record_run(
     ``"python:<cause>"`` with the reason the core did not
     (``config`` for a configuration that is non-replayable up front,
     ``unavailable``, ``unsupported``, ``unsafe-access``, ``fault``,
-    ``limit``, ``cost`` or ``out-of-memory``).
+    ``limit``, ``cost``, ``range`` or ``out-of-memory``).
     """
     config = kernel.config
     if config.memoization or config.zero_skipping:
@@ -494,8 +549,11 @@ def record_run(
     else:
         record = ReplayRecord(keyframe_interval)
         cpu = kernel.make_cpu(inputs, cpu_cls=_StagedCPU)
-        cause = native.record_into(record, cpu, max_instructions)
+        cause = native.record_into(
+            record, cpu, max_instructions, MAX_PROGRAM, MAX_CYCLES
+        )
         if cause == "native":
+            record.pc_kind, record.pc_size = access_tables(cpu.program)
             record.peek_costs = decode_program(cpu.program).peek_costs
             record.final_outputs = kernel.read_outputs(cpu)
             record.recorder = cause
@@ -531,6 +589,14 @@ def record_run_python(
         return record
 
     cpu = kernel.make_cpu(inputs)
+    if len(cpu.program.instructions) > MAX_PROGRAM:
+        record.replayable = False
+        record.reason = (
+            f"program of {len(cpu.program.instructions)} instructions "
+            f"exceeds the commit log's {MAX_PROGRAM}-instruction range"
+        )
+        return record
+    record.pc_kind, record.pc_size = access_tables(cpu.program)
 
     # Replay models memory as a single non-volatile image rebuilt from
     # the store log; volatile regions (wiped on outage) and device
@@ -568,12 +634,12 @@ def record_run_python(
     flags = cpu.flags
     peek_costs = cpu._peek_costs
     record.peek_costs = peek_costs
+    pc_kind = record.pc_kind
+    pc_size = record.pc_size
     pcs = record.pcs
     cum = record.cum_cost
-    kinds = record.mem_kind
-    addrs = record.mem_addr
-    sizes = record.mem_size
-    keyframes = record.keyframes
+    acc_pos = record.acc_pos
+    acc_addr = record.acc_addr
 
     total = 0
     pos = 0
@@ -585,7 +651,20 @@ def record_run_python(
                 return record
             pc = cpu.pc
             if pos % keyframe_interval == 0:
-                keyframes.append((pos, tuple(regs), flags.snapshot(), pc))
+                try:
+                    record.kf_regs.extend(regs)
+                except OverflowError:
+                    record.replayable = False
+                    record.reason = (
+                        f"a register at position {pos} leaves the "
+                        "keyframe's 64-bit range"
+                    )
+                    return record
+                record.kf_pos.append(pos)
+                record.kf_flags.append(
+                    flags.n | flags.z << 1 | flags.c << 2 | flags.v << 3
+                )
+                record.kf_pc.append(pc)
             cost = handlers[pc]()
             # The replay fast-forward (``advance``) relies on worst-case
             # and actual costs differing by at most one cycle; anything
@@ -598,14 +677,28 @@ def record_run_python(
                 )
                 return record
             total += cost
+            if total > MAX_CYCLES:
+                record.replayable = False
+                record.reason = (
+                    f"run exceeds the commit log's {MAX_CYCLES}-cycle range"
+                )
+                return record
             pcs.append(pc)
             cum.append(total)
             if pending:
                 kind, addr, size = pending
                 del pending[:]
-                kinds.append(kind)
-                addrs.append(addr)
-                sizes.append(size)
+                # The log keeps positions and addresses only: each
+                # access's kind and width must be its opcode's.
+                if kind != pc_kind[pc] or size != pc_size[pc]:
+                    record.replayable = False
+                    record.reason = (
+                        f"access of pc {pc} (kind {kind}, {size} bytes) "
+                        "differs from its opcode's"
+                    )
+                    return record
+                acc_pos.append(pos)
+                acc_addr.append(addr)
                 if kind == _STORE:
                     if size == 4:
                         record.store_value.append(memory.load_word(addr))
@@ -627,10 +720,6 @@ def record_run_python(
                         f"access at {addr:#010x} leaves non-volatile RAM"
                     )
                     return record
-            else:
-                kinds.append(0)
-                addrs.append(0)
-                sizes.append(0)
             pos += 1
     except Exception as exc:  # faulting programs replay live
         record.replayable = False

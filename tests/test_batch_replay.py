@@ -1,8 +1,9 @@
 """The replay engine's lanes must be bit-exact.
 
-``REPRO_REPLAY=1`` walks each configuration's commit log once for all
-its (trace, invocation) samples. Everything observable must match the
-interpreter: SampleRun fields (the repo's differential bar), metrics
+The harness walks each configuration's commit log once for all its
+(trace, invocation) samples. Everything observable must match the
+interpreter (``_run_sample`` per spec, the golden model): SampleRun
+fields (the repo's differential bar), metrics
 and ledger buckets *exactly* (both engines classify useful/reexec/
 overhead identically, skim handoffs included), trace events, sample
 deadlines and fault-injected grids; results are byte-identical between
@@ -34,6 +35,7 @@ from repro.sim.batch_replay import (
 )
 from repro.sim.replay import record_run
 from repro.workloads import make_workload
+from tests.golden import interp_runs
 
 needs_numpy = pytest.mark.skipif(
     numpy_or_none() is None, reason="numpy not available"
@@ -49,7 +51,7 @@ def _environment(workload, setup):
 
 
 def _serial_env(monkeypatch):
-    for key in ("REPRO_JOBS", "REPRO_REPLAY", "REPRO_BATCH_NUMPY"):
+    for key in ("REPRO_JOBS", "REPRO_BATCH_NUMPY"):
         monkeypatch.delenv(key, raising=False)
 
 
@@ -89,8 +91,7 @@ class TestGridDifferential:
             ("precise", None), (workload.technique, 8), (workload.technique, 4)
         ]
 
-        interp = _grid_runs(workload, configs, "clank", setup, environment, reference)
-        monkeypatch.setenv("REPRO_REPLAY", "1")
+        interp = interp_runs(workload, configs, "clank", setup, environment, reference)
         _worker_cache.clear()
         batch = _grid_runs(workload, configs, "clank", setup, environment, reference)
 
@@ -114,16 +115,16 @@ class TestGridDifferential:
         environment = _environment(workload, setup)
         reference = workload.decoded_reference()
 
-        interp = run_benchmark(
-            workload, workload.technique, 8, runtime, setup, environment, reference
+        interp = interp_runs(
+            workload, [(workload.technique, 8)], runtime, setup, environment,
+            reference,
         )
-        monkeypatch.setenv("REPRO_REPLAY", "1")
         _worker_cache.clear()
         batch = run_benchmark(
             workload, workload.technique, 8, runtime, setup, environment, reference
         )
 
-        assert batch.runs == interp.runs
+        assert batch.runs == interp
 
     @pytest.mark.parametrize(
         "workload_name, runtime", [("MatMul", "clank"), ("MLP", "progress")]
@@ -142,8 +143,7 @@ class TestGridDifferential:
         reference = workload.decoded_reference()
         configs = [(workload.technique, 8), (workload.technique, 4)]
 
-        interp = _grid_runs(workload, configs, runtime, setup, environment, reference)
-        monkeypatch.setenv("REPRO_REPLAY", "1")
+        interp = interp_runs(workload, configs, runtime, setup, environment, reference)
         _worker_cache.clear()
         replay = _grid_runs(workload, configs, runtime, setup, environment, reference)
 
@@ -164,7 +164,6 @@ class TestGridDifferential:
         reference = workload.decoded_reference()
         configs = [(workload.technique, 8), (workload.technique, 4)]
 
-        monkeypatch.setenv("REPRO_REPLAY", "1")
         _worker_cache.clear()
         vectored = _grid_runs(workload, configs, "clank", setup, environment, reference)
         monkeypatch.setenv("REPRO_BATCH_NUMPY", "0")
@@ -175,8 +174,8 @@ class TestGridDifferential:
         assert _rollups(scalar) == _rollups(vectored)
 
     def test_batch_serial_equals_parallel_jobs(self, monkeypatch):
-        """REPRO_JOBS shards by config under the batch engine; results
-        must be byte-identical to the serial run, rollups included."""
+        """REPRO_JOBS shards by config; results must be byte-identical
+        to the serial run, rollups included."""
         _serial_env(monkeypatch)
         setup = _setup()
         workload = make_workload("MatMul", setup.scale)
@@ -186,7 +185,6 @@ class TestGridDifferential:
             ("precise", None), (workload.technique, 8), (workload.technique, 4)
         ]
 
-        monkeypatch.setenv("REPRO_REPLAY", "1")
         _worker_cache.clear()
         serial = _grid_runs(workload, configs, "clank", setup, environment, reference)
         monkeypatch.setenv("REPRO_JOBS", "4")
@@ -239,7 +237,6 @@ class TestLaneWalkHooks:
         from repro.observability import TRACER, summarize_trace
 
         _serial_env(monkeypatch)
-        monkeypatch.setenv("REPRO_REPLAY", "1")
         setup = ExperimentSetup(scale="tiny", trace_count=3, invocations=2)
         workload = make_workload("MatMul", setup.scale)
         environment = _environment(workload, setup)
@@ -282,7 +279,6 @@ class TestLaneWalkHooks:
         from repro.errors import SampleTimeout
 
         _serial_env(monkeypatch)
-        monkeypatch.setenv("REPRO_REPLAY", "1")
         setup = ExperimentSetup(scale="tiny", trace_count=2, invocations=1)
         workload = make_workload("MatMul", setup.scale)
         environment = _environment(workload, setup)
@@ -312,8 +308,7 @@ class TestLaneWalkHooks:
         environment = _environment(workload, setup)
         configs = [("precise", None), (workload.technique, 8)]
 
-        interp = _grid_runs(workload, configs, runtime, setup, environment, None)
-        monkeypatch.setenv("REPRO_REPLAY", "1")
+        interp = interp_runs(workload, configs, runtime, setup, environment)
         _worker_cache.clear()
         replay = _grid_runs(workload, configs, runtime, setup, environment, None)
 
@@ -337,6 +332,7 @@ class TestConcurrentGroups:
         from dataclasses import replace
 
         from repro.experiments.common import (
+            _kernel_key,
             _record_for,
             _run_config_group,
             _sample_inputs,
@@ -365,7 +361,7 @@ class TestConcurrentGroups:
                 # One fresh record, shared by all four jobs.
                 _worker_cache.clear()
                 shared, _, kernel, _ = _sample_inputs(first)
-                _record_for(first, kernel, shared)
+                _record_for(_kernel_key(first), kernel, shared.inputs)
                 with ThreadPoolExecutor(max_workers=2) as pool:
                     futures = [
                         pool.submit(_run_config_group, specs) for specs in jobs
@@ -437,12 +433,11 @@ class TestVectorKernels:
 
 
 class TestChaosSmoke:
-    def test_hundred_scenarios_zero_violations_with_batch(self, monkeypatch):
-        """The chaos campaign's consistency oracle stays silent with the
-        batch flag set (covering the fused run_cycles live path the
-        campaign's executors take)."""
+    def test_hundred_scenarios_zero_violations_with_batch(self):
+        """The chaos campaign's consistency oracle stays silent
+        (covering the fused run_cycles live path the campaign's
+        executors take)."""
         from repro.fault.campaign import run_campaign
 
-        monkeypatch.setenv("REPRO_REPLAY", "1")
         report = run_campaign(seed=1234, count=100)
         assert report["violation_count"] == 0, report["violations"][:3]

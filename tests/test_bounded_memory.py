@@ -31,7 +31,7 @@ from repro.experiments.common import (
 from repro.power.harvester import paper_traces
 from repro.service import jobs
 from repro.service.protocol import JobSpec
-from repro.sim.replay import SNAPSHOT_PAGE, record_run
+from repro.sim.replay import _FLAGS, SNAPSHOT_PAGE, record_run
 from repro.workloads import make_workload
 from tests.test_native_record import _program_kernel
 
@@ -46,7 +46,6 @@ def _fresh_cache():
 def _serial_replay(monkeypatch):
     monkeypatch.delenv("REPRO_JOBS", raising=False)
     monkeypatch.delenv("REPRO_FAULTS", raising=False)
-    monkeypatch.setenv("REPRO_REPLAY", "1")
 
 
 # -- sparse keyframe snapshots ----------------------------------------------
@@ -57,13 +56,23 @@ def _state(cpu):
     return cpu.pc, cpu.halted, list(cpu.regs.regs), cpu.flags.snapshot(), ram
 
 
+def _keyframes(record):
+    """``(position, registers, flags, pc)`` of every keyframe."""
+    return [
+        (pos, list(record.kf_regs[16 * i:16 * i + 16]),
+         _FLAGS[record.kf_flags[i]], record.kf_pc[i])
+        for i, pos in enumerate(record.kf_pos)
+    ]
+
+
 def _full_image_cpu(record, kernel, inputs, reg_pos, mem_pos):
     """The full-snapshot materialization the sparse deltas replaced:
     a keyframe's memory is the whole initial image with the store log
     up to the keyframe applied."""
     cpu = kernel.make_cpu(inputs)
-    positions = [kf[0] for kf in record.keyframes]
-    kf_pos, regs, flags, pc = record.keyframes[bisect_right(positions, reg_pos) - 1]
+    keyframes = _keyframes(record)
+    positions = [kf[0] for kf in keyframes]
+    kf_pos, regs, flags, pc = keyframes[bisect_right(positions, reg_pos) - 1]
     record.apply_stores(cpu.memory, 0, kf_pos)
     cpu.regs.restore(list(regs))
     cpu.flags.restore(flags)
@@ -81,7 +90,7 @@ def _check_every_keyframe(record, kernel, inputs):
     reference = kernel.make_cpu(inputs)
     ref_ram = [r.data for r in reference.memory.regions if r.device is None]
     done = 0
-    for kf_pos, regs, flags, pc in record.keyframes:
+    for kf_pos, regs, flags, pc in _keyframes(record):
         record.apply_stores(reference.memory, done, kf_pos)
         done = kf_pos
         cpu = record.materialize_cpu(kernel, inputs, kf_pos, kf_pos)
@@ -208,7 +217,8 @@ class TestWorkerCache:
             for runtime in ("clank", "progress")
         ]
         serial = [_run_config_group(group) for group in groups]
-        monkeypatch.setattr(common, "CACHE_BUDGET_BYTES", 1 << 20)
+        # A materialized MatMul tiny skim record takes 190-400 KB.
+        monkeypatch.setattr(common, "CACHE_BUDGET_BYTES", 128 << 10)
         _worker_cache.clear()
         evictions = _worker_cache.stats()["evictions"]
 

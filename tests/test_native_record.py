@@ -40,10 +40,11 @@ from tests.test_fast_interpreter import (
 
 #: Every ReplayRecord field the replay engine and the profiler read.
 FIELDS = (
-    "pcs", "cum_cost", "mem_kind", "mem_addr", "mem_size", "store_pos",
-    "store_addr", "store_size", "store_value", "skim_pos", "skim_target",
-    "keyframes", "keyframe_interval", "length", "final_outputs",
-    "replayable", "reason", "peek_costs",
+    "pcs", "cum_cost", "acc_pos", "acc_addr", "pc_kind", "pc_size",
+    "store_pos", "store_addr", "store_size", "store_value", "skim_pos",
+    "skim_target", "kf_pos", "kf_regs", "kf_flags", "kf_pc",
+    "keyframe_interval", "length", "final_outputs", "replayable", "reason",
+    "peek_costs",
 )
 
 VALID_BITS = {"swp": (1, 2, 3, 4, 8), "swv": (4, 8)}

@@ -36,6 +36,7 @@ from repro.workloads import (
     make_workload,
 )
 from repro.workloads.base import top1_accuracy
+from tests.golden import interp_runs
 
 #: The NN workloads whose quality metric is top-1 accuracy (Pool decodes
 #: to pooled activations and stays NRMSE-only).
@@ -43,7 +44,7 @@ CLASSIFIERS = ("FC", "MLP", "CNN")
 
 
 def _serial_env(monkeypatch):
-    for key in ("REPRO_JOBS", "REPRO_REPLAY", "REPRO_BATCH_NUMPY"):
+    for key in ("REPRO_JOBS", "REPRO_BATCH_NUMPY"):
         monkeypatch.delenv(key, raising=False)
 
 
@@ -162,15 +163,14 @@ class TestProgressPolicy:
         )
         reference = workload.decoded_reference()
 
-        interp = run_benchmark(
-            workload, "swp", 8, "progress", setup, environment, reference
+        interp = interp_runs(
+            workload, [("swp", 8)], "progress", setup, environment, reference
         )
-        monkeypatch.setenv("REPRO_REPLAY", "1")
         _worker_cache.clear()
         replay = run_benchmark(
             workload, "swp", 8, "progress", setup, environment, reference
         )
-        assert replay.runs == interp.runs  # field-by-field, accuracy too
+        assert replay.runs == interp  # field-by-field, accuracy too
 
     @pytest.mark.parametrize("name", NN_BENCHMARKS)
     def test_batch_parity_on_nn_grid(self, monkeypatch, name):
@@ -182,15 +182,14 @@ class TestProgressPolicy:
         )
         reference = workload.decoded_reference()
 
-        interp = run_benchmark(
-            workload, "swp", 8, "progress", setup, environment, reference
+        interp = interp_runs(
+            workload, [("swp", 8)], "progress", setup, environment, reference
         )
-        monkeypatch.setenv("REPRO_REPLAY", "1")
         _worker_cache.clear()
         batch = run_benchmark(
             workload, "swp", 8, "progress", setup, environment, reference
         )
-        assert batch.runs == interp.runs
+        assert batch.runs == interp
 
 
 class TestAccuracyReporting:

@@ -40,7 +40,6 @@ TINY = ExperimentSetup(scale="tiny", trace_count=2, invocations=1)
 def _quiet_tracer(monkeypatch):
     """Every test starts with tracing off and no REPRO_* knobs set."""
     monkeypatch.delenv("REPRO_TRACE", raising=False)
-    monkeypatch.delenv("REPRO_REPLAY", raising=False)
     monkeypatch.delenv("REPRO_METRICS", raising=False)
     monkeypatch.delenv("REPRO_MANIFEST", raising=False)
     monkeypatch.delenv("REPRO_JOBS", raising=False)
@@ -134,10 +133,8 @@ class TestMetrics:
 
 
 class TestTraceRoundTrip:
-    def _run_grid(self, tmp_path, monkeypatch, replay=True):
-        """A fig10-style MatMul grid with tracing (and replay) enabled."""
-        if replay:
-            monkeypatch.setenv("REPRO_REPLAY", "1")
+    def _run_grid(self, tmp_path):
+        """A fig10-style MatMul grid with tracing enabled."""
         common._worker_cache.clear()
         path = tmp_path / "grid.jsonl"
         TRACER.enable(str(path))
@@ -149,10 +146,8 @@ class TestTraceRoundTrip:
         TRACER.disable()
         return path, results
 
-    def test_summarizer_accounts_every_sample_and_skim(
-        self, tmp_path, monkeypatch
-    ):
-        path, results = self._run_grid(tmp_path, monkeypatch)
+    def test_summarizer_accounts_every_sample_and_skim(self, tmp_path):
+        path, results = self._run_grid(tmp_path)
         summary = summarize_trace(str(path))
         grid_samples = sum(len(r.runs) for r in results)
         assert len(summary.samples) == grid_samples
@@ -174,9 +169,8 @@ class TestTraceRoundTrip:
         assert not summary.fallback_reasons
         assert set(summary.engines) == {"replay"}
 
-    def test_fallback_reason_accounted(self, tmp_path, monkeypatch):
+    def test_fallback_reason_accounted(self, tmp_path):
         """A non-replayable record must show up as a counted fallback."""
-        monkeypatch.setenv("REPRO_REPLAY", "1")
         workload, env = _matmul_env()
         # Poison the record cache: the harness must fall back to the
         # interpreter and say why.
@@ -211,8 +205,8 @@ class TestTraceRoundTrip:
         assert counters["replay_fallbacks"] == len(result.runs)
         assert counters["engine.interp"] == len(result.runs)
 
-    def test_format_summary_renders(self, tmp_path, monkeypatch):
-        path, _ = self._run_grid(tmp_path, monkeypatch)
+    def test_format_summary_renders(self, tmp_path):
+        path, _ = self._run_grid(tmp_path)
         text = format_summary(summarize_trace(str(path)))
         assert "event counts:" in text
         assert "sample_start" in text
@@ -243,7 +237,7 @@ class TestManifest:
             assert len(manifest.results) == 1
             entry = manifest.results[0]
             assert entry["workload"] == "MatMul"
-            assert entry["engine"] == "interp"
+            assert entry["engine"] == "replay"
             assert entry["samples"] == 2
             assert entry["metrics"]["counters"]["samples"] == 2
         finally:

@@ -44,6 +44,7 @@ from repro.observability.dashboard import (
 from repro.observability.profiler import region_of, region_table
 from repro.observability.summarize import summarize_trace
 from repro.workloads import make_workload
+from tests.golden import interp_runs
 
 TINY = ExperimentSetup(scale="tiny", trace_count=2, invocations=1)
 
@@ -51,9 +52,8 @@ TINY = ExperimentSetup(scale="tiny", trace_count=2, invocations=1)
 @pytest.fixture(autouse=True)
 def _quiet_observability(monkeypatch):
     """Every test starts with all REPRO_* observability knobs off."""
-    for key in ("REPRO_TRACE", "REPRO_REPLAY", "REPRO_METRICS",
-                "REPRO_MANIFEST", "REPRO_JOBS", "REPRO_PROFILE",
-                "REPRO_LEDGER"):
+    for key in ("REPRO_TRACE", "REPRO_METRICS", "REPRO_MANIFEST",
+                "REPRO_JOBS", "REPRO_PROFILE", "REPRO_LEDGER"):
         monkeypatch.delenv(key, raising=False)
     TRACER.disable()
     PROFILER.disable()
@@ -136,8 +136,7 @@ class TestLedgerExactness:
     def test_interp_buckets_sum_to_active_cycles(self, runtime):
         """Every supply-consumed active cycle lands in exactly one bucket."""
         workload, env = _matmul_env()
-        result = run_benchmark(workload, "swp", 8, runtime, TINY, env, jobs=1)
-        for run in result.runs:
+        for run in interp_runs(workload, [("swp", 8)], runtime, TINY, env):
             cycles = run.ledger["cycles"]
             assert set(cycles) == set(BUCKETS)
             assert sum(cycles.values()) == run.ledger["total_cycles"]
@@ -148,14 +147,13 @@ class TestLedgerExactness:
             )
 
     @pytest.mark.parametrize("runtime", ["clank", "nvp"])
-    def test_replay_engine_ledger_matches_interp(self, runtime, monkeypatch):
+    def test_replay_engine_ledger_matches_interp(self, runtime):
         """The replay engine books the same buckets as the interpreter."""
         workload, env = _matmul_env()
-        interp = run_benchmark(workload, "swp", 8, runtime, TINY, env, jobs=1)
-        monkeypatch.setenv("REPRO_REPLAY", "1")
+        interp = interp_runs(workload, [("swp", 8)], runtime, TINY, env)
         replay = run_benchmark(workload, "swp", 8, runtime, TINY, env, jobs=1)
-        assert interp.runs == replay.runs  # results identical first
-        for a, b in zip(interp.runs, replay.runs):
+        assert interp == replay.runs  # results identical first
+        for a, b in zip(interp, replay.runs):
             assert a.ledger == b.ledger
             assert b.ledger["total_cycles"] == b.active_cycles
 

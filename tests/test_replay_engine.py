@@ -1,10 +1,10 @@
 """The record-once/replay-per-trace engine must be bit-exact.
 
-Every test here compares the replay engine (``REPRO_REPLAY=1``) against
-the interpreter on the same grid and asserts that every ``SampleRun``
-field — wall_ms, on_ms, active_cycles, outages, skim_taken, error — is
-identical. The replay engine is a performance path only; any observable
-divergence is a bug.
+Every test here compares the replay engine (the harness's engine)
+against the interpreter (``_run_sample`` per spec, the golden model) on
+the same grid and asserts that every ``SampleRun`` field — wall_ms,
+on_ms, active_cycles, outages, skim_taken, error — is identical. Any
+observable divergence is a bug.
 """
 
 import pytest
@@ -20,6 +20,7 @@ from repro.experiments.common import (
 )
 from repro.sim.replay import record_run
 from repro.workloads import make_workload
+from tests.golden import interp_runs
 
 
 def _setup():
@@ -32,7 +33,6 @@ def _environment(workload, setup):
 
 def _serial_env(monkeypatch):
     monkeypatch.delenv("REPRO_JOBS", raising=False)
-    monkeypatch.delenv("REPRO_REPLAY", raising=False)
 
 
 def _grid_runs(workload, configs, runtime, setup, environment, reference):
@@ -51,8 +51,7 @@ def test_fig10_grid_replay_identical(monkeypatch):
     reference = workload.decoded_reference()
     configs = [("precise", None), (workload.technique, 8), (workload.technique, 4)]
 
-    interp = _grid_runs(workload, configs, "clank", setup, environment, reference)
-    monkeypatch.setenv("REPRO_REPLAY", "1")
+    interp = interp_runs(workload, configs, "clank", setup, environment, reference)
     _worker_cache.clear()
     replay = _grid_runs(workload, configs, "clank", setup, environment, reference)
 
@@ -70,16 +69,16 @@ def test_runtime_grid_replay_identical(monkeypatch, workload_name, runtime):
     environment = _environment(workload, setup)
     reference = workload.decoded_reference()
 
-    interp = run_benchmark(
-        workload, workload.technique, 8, runtime, setup, environment, reference
+    interp = interp_runs(
+        workload, [(workload.technique, 8)], runtime, setup, environment,
+        reference,
     )
-    monkeypatch.setenv("REPRO_REPLAY", "1")
     _worker_cache.clear()
     replay = run_benchmark(
         workload, workload.technique, 8, runtime, setup, environment, reference
     )
 
-    assert replay.runs == interp.runs
+    assert replay.runs == interp
 
 
 def test_hibernus_grid_end_to_end(monkeypatch):
@@ -91,8 +90,7 @@ def test_hibernus_grid_end_to_end(monkeypatch):
     reference = workload.decoded_reference()
     configs = [("precise", None), (workload.technique, 8)]
 
-    interp = _grid_runs(workload, configs, "hibernus", setup, environment, reference)
-    monkeypatch.setenv("REPRO_REPLAY", "1")
+    interp = interp_runs(workload, configs, "hibernus", setup, environment, reference)
     _worker_cache.clear()
     replay = _grid_runs(workload, configs, "hibernus", setup, environment, reference)
 
@@ -100,19 +98,22 @@ def test_hibernus_grid_end_to_end(monkeypatch):
     assert any(run.outages > 0 for run in interp), "grid exercised no outages"
 
 
-def test_replay_gate_off_records_nothing(monkeypatch):
-    """Without REPRO_REPLAY=1 the harness never builds a commit log."""
+def test_interpreter_sample_records_nothing(monkeypatch):
+    """``_run_sample`` is the golden model: it interprets the sample
+    and never builds a commit log, so a differential test compares two
+    computations."""
     _serial_env(monkeypatch)
     setup = _setup()
     workload = make_workload("Var", setup.scale)
     environment = _environment(workload, setup)
     _worker_cache.clear()
-    run_benchmark(
-        workload, "precise", None, "clank", setup, environment,
+    runs = interp_runs(
+        workload, [("precise", None)], "clank", setup, environment,
         workload.decoded_reference(),
     )
     entries = [_worker_cache.get(key) for key in _worker_cache.keys()]
     assert not [entry for entry in entries if getattr(entry, "record", None)]
+    assert all(run.metrics["counters"]["engine.interp"] == 1 for run in runs)
 
 
 def test_memoized_kernel_not_replayable():

@@ -1,8 +1,8 @@
 """The self-healing experiment harness:
 
-* a worker process dying mid-grid never kills the run — its specs are
-  retried serially with one aggregated stderr warning and the results
-  are identical to an undisturbed run;
+* a worker process dying mid-grid never kills the run — its
+  configuration group is retried serially with one aggregated stderr
+  warning and the results are identical to an undisturbed run;
 * ``REPRO_RESUME=<dir>`` persists per-config results atomically, so an
   interrupted ``REPRO_JOBS=4`` grid resumes bit-identically;
 * ``REPRO_SAMPLE_TIMEOUT`` converts a pathological sample into a typed
@@ -52,25 +52,36 @@ def full_dicts(results):
     return [[_sample_run_to_dict(run) for run in result.runs] for result in results]
 
 
+#: The pool's unit of work is one configuration group; the stand-ins
+#: below replace it. They live at module level so the pool can pickle
+#: them.
+_PARENT = os.getpid()
+_real_group = common._run_config_group
+
+
+def _killing_group(specs):
+    # Simulate the OOM killer taking one worker mid-group; the parent
+    # (serial retry) is never killed.
+    if os.getpid() != _PARENT and specs[0].mode == "swv":
+        os._exit(1)
+    return _real_group(specs)
+
+
+def _incomplete_group(specs):
+    raise IncompleteRun("sample can never finish", outages=9)
+
+
 class TestWorkerCrashRecovery:
     def test_killed_worker_heals_to_identical_results(
-        self, home, reference, monkeypatch, capfd
+        self, home, monkeypatch, capfd
     ):
         workload, environment = home
-        parent = os.getpid()
-        real = common._execute_sample
-
-        def killer(spec):
-            # Simulate the OOM killer taking one worker mid-sample; the
-            # parent (serial retry) is never killed.
-            if os.getpid() != parent and spec.trace_index == 1 and spec.invocation == 0:
-                os._exit(1)
-            return real(spec)
-
-        monkeypatch.setattr(common, "_execute_sample", killer)
+        monkeypatch.delenv("REPRO_JOBS", raising=False)
+        serial = run_benchmark_suite(workload, CONFIGS, "clank", SETUP, environment)
+        monkeypatch.setattr(common, "_run_config_group", _killing_group)
         monkeypatch.setenv("REPRO_JOBS", "4")
-        healed = run_benchmark(workload, "precise", None, "clank", SETUP, environment)
-        assert healed.runs == reference.runs
+        healed = run_benchmark_suite(workload, CONFIGS, "clank", SETUP, environment)
+        assert full_dicts(healed) == full_dicts(serial)
         err = capfd.readouterr().err
         assert err.count("retrying") == 1  # one aggregated warning
         assert "worker" in err
@@ -79,16 +90,12 @@ class TestWorkerCrashRecovery:
         self, home, monkeypatch, capfd
     ):
         workload, environment = home
-
-        def always_incomplete(spec):
-            raise IncompleteRun("sample can never finish", outages=9)
-
-        monkeypatch.setattr(common, "_execute_sample", always_incomplete)
+        monkeypatch.setattr(common, "_run_config_group", _incomplete_group)
         monkeypatch.setenv("REPRO_JOBS", "4")
         # The pool's failures are retried serially; the retry fails the
         # same way, so the typed error propagates instead of being eaten.
         with pytest.raises(IncompleteRun):
-            run_benchmark(workload, "precise", None, "clank", SETUP, environment)
+            run_benchmark_suite(workload, CONFIGS, "clank", SETUP, environment)
         capfd.readouterr()  # swallow the expected retry warning
 
 

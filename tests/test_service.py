@@ -76,13 +76,12 @@ class running_service:
 
 
 @pytest.fixture()
-def direct_runs(monkeypatch):
+def direct_runs():
     """Ground truth: the same grid run directly, full sample dicts.
 
     On the replay engine, like the service computes — sample fields are
     engine-identical by contract, but the metrics rollups *record*
     which engine ran, so a field-for-field comparison must match it."""
-    monkeypatch.setenv("REPRO_REPLAY", "1")
     setup = ExperimentSetup(**GRID)
     workload = make_workload("Home", "tiny")
     environment = calibrate_environment(measure_precise_cycles(workload), setup)

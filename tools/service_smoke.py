@@ -51,7 +51,6 @@ def direct_grid():
     )
     from repro.workloads import make_workload
 
-    os.environ["REPRO_REPLAY"] = "1"  # the engine the service computes on
     setup = ExperimentSetup(**GRID)
     workload = make_workload("MatMul", "tiny")
     environment = calibrate_environment(measure_precise_cycles(workload), setup)
@@ -61,7 +60,6 @@ def direct_grid():
             workload, config["mode"], config["bits"], "clank", setup, environment
         )
         runs.append([_sample_run_to_dict(r) for r in result.runs])
-    del os.environ["REPRO_REPLAY"]
     return runs
 
 
