@@ -623,6 +623,8 @@ def _bench_workload(args) -> int:
 
 def main(argv: Optional[list] = None) -> int:
     """Argparse entry point; returns the process exit code."""
+    from .runtime.table import RUNTIME_NAMES
+
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Reproduction of the What's Next intermittent computing architecture (HPCA 2019).",
@@ -760,7 +762,7 @@ def main(argv: Optional[list] = None) -> int:
                                choices=(1, 2, 3, 4, 8),
                                help="approximation bit width (non-precise)")
     submit_parser.add_argument("--runtime", default="clank",
-                               choices=("clank", "progress", "nvp", "hibernus"))
+                               choices=RUNTIME_NAMES)
     submit_parser.add_argument("--scale", default="default",
                                choices=("tiny", "default", "paper"))
     submit_parser.add_argument("--traces", type=int, default=9)
@@ -838,7 +840,7 @@ def main(argv: Optional[list] = None) -> int:
     )
     bench_parser.add_argument("benchmark", nargs="?", default="interp")
     bench_parser.add_argument("--runtime", default="clank",
-                              choices=("clank", "progress", "nvp", "hibernus"))
+                              choices=RUNTIME_NAMES)
     bench_parser.add_argument("--scale", default="default", choices=("tiny", "default", "paper"))
     bench_parser.add_argument("--traces", type=int, default=3)
     bench_parser.add_argument("--invocations", type=int, default=1)

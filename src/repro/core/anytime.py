@@ -29,11 +29,8 @@ from ..power.capacitor import Capacitor
 from ..power.energy import EnergyModel
 from ..power.supply import PowerSupply
 from ..power.trace import PowerTrace
-from ..runtime.clank import ClankRuntime
-from ..runtime.hibernus import HibernusRuntime
 from ..runtime.executor import IntermittentExecutor, RunResult
-from ..runtime.nvp import NVPRuntime
-from ..runtime.progress import ProgressRuntime, output_ranges_of
+from ..runtime.table import runtime_row
 from ..sim.cpu import CPU
 from ..sim.multiplier import MemoTable, Multiplier
 from .quality import QualityCurve, nrmse
@@ -174,7 +171,10 @@ class AnytimeKernel:
         watchdog_cycles: Optional[int] = None,
         cpu_cls: type = CPU,
     ) -> IntermittentRun:
-        """Run under a harvested-power trace until complete (or skimmed)."""
+        """Run under a harvested-power trace until complete (or skimmed).
+
+        ``runtime`` names a row of :mod:`repro.runtime.table`."""
+        row = runtime_row(runtime)
         cpu = self.make_cpu(inputs, cpu_cls=cpu_cls)
         supply = PowerSupply(
             trace,
@@ -182,25 +182,7 @@ class AnytimeKernel:
             energy_model or EnergyModel(),
             start_tick=start_tick,
         )
-        if runtime == "clank":
-            kwargs = {}
-            if watchdog_cycles is not None:
-                kwargs["watchdog_cycles"] = watchdog_cycles
-            policy = ClankRuntime(**kwargs)
-        elif runtime == "progress":
-            kwargs = {}
-            if watchdog_cycles is not None:
-                kwargs["watchdog_cycles"] = watchdog_cycles
-            policy = ProgressRuntime(output_ranges_of(self), **kwargs)
-        elif runtime == "nvp":
-            policy = NVPRuntime()
-        elif runtime == "hibernus":
-            policy = HibernusRuntime()
-        else:
-            raise ValueError(
-                f"unknown runtime {runtime!r} "
-                "(want 'clank', 'progress', 'nvp' or 'hibernus')"
-            )
+        policy = row.live(self, None, watchdog_cycles)
         executor = IntermittentExecutor(cpu, supply, policy)
         result = executor.run(max_wall_ms=max_wall_ms)
         if PROFILER.enabled:

@@ -33,14 +33,13 @@ Caching: with ``REPRO_STORE=<dir>`` every finished configuration is
 persisted to (and served from) the global content-addressed result
 store (:mod:`repro.store`), keyed by the sha256 of its canonical config
 description — shared across runs, figure experiments, ``bench --grid``
-and the experiment service. ``REPRO_RESUME`` remains the narrower
-per-run checkpoint; both keys embed the package/schema version so stale
-caches self-invalidate. ``REPRO_FAULTS`` disables the store by design.
+and the experiment service. The key embeds the package/schema version
+so stale caches self-invalidate. ``REPRO_FAULTS`` disables the store by
+design.
 """
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 import os
@@ -65,18 +64,15 @@ from ..power.energy import EnergyModel
 from ..power.harvester import paper_trace, paper_traces
 from ..power.trace import PowerTrace
 from ..runtime.executor import set_sample_deadline
+from ..runtime.table import runtime_row
 from ..sim.replay import ReplayRecord, record_run
 from ..store.cas import (
     STORE_ENV,
     ResultStore,
-    code_schema_tag,
     config_fingerprint,
     result_payload,
 )
 from ..workloads.base import Workload
-
-#: NVP per-cycle backup energy overhead (fraction).
-NVP_BACKUP_OVERHEAD = 0.2
 
 
 @dataclass
@@ -169,7 +165,7 @@ class BenchmarkResult:
     name: str
     mode: str  # "precise" | "swp" | "swv"
     bits: Optional[int]
-    runtime: str  # "clank" | "nvp"
+    runtime: str  # a name in repro.runtime.table
     runs: List[SampleRun] = field(default_factory=list)
 
     @property
@@ -358,23 +354,6 @@ def experiment_store() -> Optional[ResultStore]:
     return ResultStore(raw)
 
 
-def experiment_resume_dir() -> Optional[str]:
-    """Checkpoint directory from ``REPRO_RESUME`` (``None`` = off).
-
-    When set, every finished configuration's sample list is persisted
-    to ``<dir>/<config-key>.json`` (written atomically: temp file +
-    rename, so a crash mid-write never leaves a torn result — the
-    harness practices what the paper preaches). A re-run with the same
-    environment loads those files instead of re-executing, making an
-    interrupted ``fig10``-scale grid restartable where it left off.
-    The directory is created on first use."""
-    raw = os.environ.get("REPRO_RESUME", "").strip()
-    if not raw:
-        return None
-    os.makedirs(raw, exist_ok=True)
-    return raw
-
-
 def _fault_trace(seed: int, spec: "SampleSpec") -> PowerTrace:
     """The adversarial replacement trace for one sample under
     ``REPRO_FAULTS`` — seeded per (trace index, invocation) so the grid
@@ -429,7 +408,7 @@ class SampleSpec:
 CACHE_BUDGET_BYTES = 64 << 20
 
 #: Retained bytes of a compiled kernel per program instruction, with the
-#: decoded and fused views its program caches after its first run:
+#: decoded view its program caches after its first run:
 #: tracemalloc gave 485-645 B on MatMul, MLP, Home and Conv2d at default
 #: scale and on CNN tiny swp-1.
 _KERNEL_BYTES_PER_INSTRUCTION = 600
@@ -682,12 +661,6 @@ def _sample_inputs(spec: SampleSpec):
     return workload, reference, entry.kernel, _sample_trace(spec)
 
 
-def _energy_model(runtime: str) -> EnergyModel:
-    return EnergyModel(
-        backup_overhead=NVP_BACKUP_OVERHEAD if runtime == "nvp" else 0.0
-    )
-
-
 def _run_args(spec: SampleSpec, trace: PowerTrace, energy: EnergyModel) -> dict:
     """Keyword arguments of one sample's intermittent run, shared by
     ``AnytimeKernel.run_intermittent`` and the replay lanes. Built fresh
@@ -701,9 +674,7 @@ def _run_args(spec: SampleSpec, trace: PowerTrace, energy: EnergyModel) -> dict:
         energy_model=energy,
         start_tick=spec.invocation * 313,
         max_wall_ms=spec.max_wall_ms,
-        watchdog_cycles=(
-            spec.watchdog_cycles if spec.runtime in ("clank", "progress") else None
-        ),
+        watchdog_cycles=runtime_row(spec.runtime).watchdog(spec.watchdog_cycles),
     )
 
 
@@ -721,7 +692,7 @@ def _execute_sample(spec: SampleSpec) -> SampleRun:
     workload, reference, kernel, trace = _sample_inputs(spec)
     if TRACER.enabled:
         _emit_sample_start(spec)
-    energy = _energy_model(spec.runtime)
+    energy = runtime_row(spec.runtime).energy_model()
     run = kernel.run_intermittent(
         workload.inputs, **_run_args(spec, trace, energy)
     )
@@ -840,7 +811,7 @@ def _run_config_group(specs: List[SampleSpec]) -> List[SampleRun]:
                 record, kernel.compiled.program,
                 f"{kernel.compiled.program.name}/{first.runtime}",
             )
-        energy = _energy_model(first.runtime)
+        energy = runtime_row(first.runtime).energy_model()
         runs = run_batch_group(
             kernel, record, workload.inputs,
             [_run_args(spec, trace, energy) for spec, trace in zip(group, traces)],
@@ -865,45 +836,6 @@ def _run_config_group(specs: List[SampleSpec]) -> List[SampleRun]:
         return results
 
     return [run for group in groups for run in _deadlined(replay, group)]
-
-
-def _resume_key(
-    name: str,
-    scale: Optional[str],
-    mode: str,
-    bits: Optional[int],
-    runtime: str,
-    setup: ExperimentSetup,
-    environment: Environment,
-) -> str:
-    """Filesystem-safe identity of one configuration's grid.
-
-    Everything that determines the samples — workload, mode, runtime,
-    grid shape and the calibrated environment — feeds the key, so a
-    resume directory can never serve results computed under different
-    knobs. The package version and result-schema version
-    (:func:`repro.store.cas.code_schema_tag`) are inputs too: bumping
-    either silently invalidates every stale checkpoint instead of
-    serving old-shape samples."""
-    fingerprint = hashlib.sha256(
-        repr(
-            (
-                code_schema_tag(),
-                setup.trace_count,
-                setup.invocations,
-                setup.trace_duration_ms,
-                setup.trace_seed,
-                setup.max_wall_ms,
-                environment.capacitor_f,
-                environment.watchdog_cycles,
-            )
-        ).encode()
-    ).hexdigest()[:12]
-    return (
-        f"{name}-{scale}-{mode}-{bits}-{runtime}-{fingerprint}".replace(
-            os.sep, "_"
-        )
-    )
 
 
 def _sample_run_to_dict(run: SampleRun) -> dict:
@@ -935,33 +867,6 @@ def _sample_run_from_dict(data: dict) -> SampleRun:
         metrics=data.get("metrics"),
         ledger=data.get("ledger"),
     )
-
-
-def _load_resumed(directory: str, key: str) -> Optional[List[SampleRun]]:
-    """The persisted sample list for one configuration, or ``None``.
-
-    A torn or unreadable file (the crash the atomic writer prevents,
-    but also a stray partial file from an older tool) is treated as
-    absent: the configuration simply re-runs."""
-    path = os.path.join(directory, key + ".json")
-    try:
-        with open(path, "r", encoding="utf-8") as file:
-            payload = json.load(file)
-        return [_sample_run_from_dict(entry) for entry in payload["runs"]]
-    except (OSError, ValueError, KeyError, TypeError):
-        return None
-
-
-def _save_resumed(directory: str, key: str, runs: List[SampleRun]) -> None:
-    """Persist one configuration's samples atomically (temp + rename),
-    so an interrupt mid-write leaves either the old state or the new —
-    never a torn file."""
-    path = os.path.join(directory, key + ".json")
-    tmp_path = path + ".tmp"
-    payload = {"runs": [_sample_run_to_dict(run) for run in runs]}
-    with open(tmp_path, "w", encoding="utf-8") as file:
-        json.dump(payload, file, separators=(",", ":"))
-    os.replace(tmp_path, path)
 
 
 def _store_payload(
@@ -1006,8 +911,8 @@ def _store_lookup(
 ) -> Optional[List[SampleRun]]:
     """Cached samples for a fingerprint, or ``None`` (store off / miss).
 
-    Mirrors :func:`_load_resumed`'s tolerance: a torn or foreign entry
-    is a miss, never an error."""
+    A torn or foreign entry is a miss, never an error: the
+    configuration simply re-runs."""
     if store is None or fingerprint is None:
         return None
     payload = store.load(fingerprint)
@@ -1242,26 +1147,8 @@ def run_benchmark(
         if hit is not None:
             result.runs.extend(hit)
             return _finish_result(result, setup)
-    resume_dir = experiment_resume_dir()
-    key = None
-    if resume_dir is not None:
-        key = _resume_key(
-            workload.name, workload.scale, mode, bits, runtime,
-            setup, environment,
-        )
-        cached = _load_resumed(resume_dir, key)
-        if cached is not None:
-            result.runs.extend(cached)
-            if store is not None:
-                store.put(
-                    fingerprint,
-                    _store_payload(result, fingerprint, workload.scale, setup),
-                )
-            return _finish_result(result, setup)
     specs = _sample_specs(workload, mode, bits, runtime, setup, environment, reference)
     result.runs.extend(_map_samples(specs, jobs))
-    if resume_dir is not None:
-        _save_resumed(resume_dir, key, result.runs)
     if store is not None:
         store.put(
             fingerprint,
@@ -1299,13 +1186,12 @@ def run_benchmark_suite(
             for mode, bits in configs
         ]
 
-    # Per-config caching, store first then resume: configurations the
-    # content-addressed store or a resume directory already hold are
-    # excluded from the pooled grid entirely, so a restarted (or
-    # re-submitted) run only pays for the work it actually lost.
+    # Per-config caching: configurations the content-addressed store
+    # already holds are excluded from the pooled grid entirely, so a
+    # restarted (or re-submitted) run only pays for the work it
+    # actually lost.
     store = experiment_store()
     fingerprints: Dict[int, str] = {}
-    store_hits: Dict[int, bool] = {}
     if store is not None:
         fp_reference = _fingerprint_reference(workload, reference)
         for index, (mode, bits) in enumerate(configs):
@@ -1313,25 +1199,11 @@ def run_benchmark_suite(
                 workload.name, workload.scale, mode, bits, runtime,
                 setup, environment, fp_reference,
             )
-    resume_dir = experiment_resume_dir()
-    keys: Dict[int, str] = {}
     cached: Dict[int, List[SampleRun]] = {}
     for index, (mode, bits) in enumerate(configs):
         hit = _store_lookup(store, fingerprints.get(index))
         if hit is not None:
             cached[index] = hit
-            store_hits[index] = True
-    if resume_dir is not None:
-        for index, (mode, bits) in enumerate(configs):
-            keys[index] = _resume_key(
-                workload.name, workload.scale, mode, bits, runtime,
-                setup, environment,
-            )
-            if index in cached:
-                continue
-            runs = _load_resumed(resume_dir, keys[index])
-            if runs is not None:
-                cached[index] = runs
 
     spec_lists: List[List[SampleSpec]] = []
     for index, (mode, bits) in enumerate(configs):
@@ -1353,16 +1225,13 @@ def run_benchmark_suite(
         if index in cached:
             result.runs.extend(cached[index])
         else:
-            chunk = runs[cursor:cursor + per_config]
+            result.runs.extend(runs[cursor:cursor + per_config])
             cursor += per_config
-            result.runs.extend(chunk)
-            if resume_dir is not None:
-                _save_resumed(resume_dir, keys[index], chunk)
-        if store is not None and not store_hits.get(index):
-            store.put(
-                fingerprints[index],
-                _store_payload(result, fingerprints[index], workload.scale, setup),
-            )
+            if store is not None:
+                store.put(
+                    fingerprints[index],
+                    _store_payload(result, fingerprints[index], workload.scale, setup),
+                )
         results.append(_finish_result(result, setup))
     return results
 

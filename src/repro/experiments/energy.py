@@ -22,10 +22,9 @@ from typing import Dict, List, Optional, Tuple
 
 from ..core.anytime import AnytimeKernel
 from ..errors import IncompleteRun
-from ..power.energy import EnergyModel
+from ..runtime.table import runtime_row
 from ..workloads import make_workload
 from .common import (
-    NVP_BACKUP_OVERHEAD,
     ExperimentSetup,
     build_anytime,
     calibrate_environment,
@@ -86,15 +85,14 @@ class EnergyResult:
 def _analyze(
     workload, kernel: AnytimeKernel, runtime: str, environment, setup, useful_reference: int
 ) -> EnergyBreakdown:
+    row = runtime_row(runtime)
     run = kernel.run_intermittent(
         workload.inputs,
         setup.traces()[0],
         runtime=runtime,
         capacitor=environment.capacitor(),
-        energy_model=EnergyModel(
-            backup_overhead=NVP_BACKUP_OVERHEAD if runtime == "nvp" else 0.0
-        ),
-        watchdog_cycles=environment.watchdog_cycles if runtime == "clank" else None,
+        energy_model=row.energy_model(),
+        watchdog_cycles=row.watchdog(environment.watchdog_cycles),
         max_wall_ms=setup.max_wall_ms,
     )
     result = run.result
@@ -116,7 +114,7 @@ def _analyze(
         reexecuted_cycles=max(0, program - useful),
         checkpoint_cycles=stats.checkpoint_cycles,
         restore_cycles=stats.restore_cycles,
-        backup_overhead_pct=100.0 * NVP_BACKUP_OVERHEAD if runtime == "nvp" else 0.0,
+        backup_overhead_pct=100.0 * row.backup_overhead,
     )
 
 

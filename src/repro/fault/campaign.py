@@ -28,12 +28,8 @@ from ..core.anytime import AnytimeConfig, AnytimeKernel
 from ..errors import ConsistencyViolation, ProgressStall, ReproError
 from ..observability.tracer import TRACER
 from ..power.capacitor import Capacitor
-from ..power.energy import EnergyModel
-from ..runtime.clank import ClankRuntime
 from ..runtime.executor import IntermittentExecutor
-from ..runtime.hibernus import HibernusRuntime
-from ..runtime.nvp import NVPRuntime
-from ..runtime.progress import ProgressRuntime, output_ranges_of
+from ..runtime.table import RUNTIME_NAMES, RuntimeRow, runtime_row
 from ..sim.cpu import CpuFault
 from ..workloads import make_workload
 from .fuzz import burst_outage_trace, knife_edge_trace
@@ -49,14 +45,12 @@ from .plan import (
     OutageAtSkimArm,
 )
 
-#: Default campaign axes.
-DEFAULT_RUNTIMES = ("clank", "progress", "nvp", "hibernus")
+#: Default campaign axes: every runtime of the table, in table order.
+DEFAULT_RUNTIMES = RUNTIME_NAMES
 DEFAULT_WORKLOADS = ("Home", "MatMul")
 #: Simulated wall-clock budget per scenario; livelocks convert to typed
 #: stalls long before this, so hitting it is a forward-progress bug.
 SCENARIO_MAX_WALL_MS = 2_000_000
-#: NVP's per-cycle non-volatile backup tax (mirrors the harness).
-_NVP_BACKUP_OVERHEAD = 0.2
 
 
 @dataclass(frozen=True)
@@ -185,21 +179,14 @@ class _Caches:
         return workload, self.kernels[key], self.goldens[key]
 
 
-def _build_runtime(name: str, mutant: Optional[str], kernel: AnytimeKernel):
-    """The runtime instance for one scenario, honouring a mutant swap."""
+def _build_runtime(row: RuntimeRow, mutant: Optional[str], kernel: AnytimeKernel):
+    """The runtime instance for one scenario (the row's live runtime with
+    its default watchdog), honouring a mutant swap."""
     if mutant is not None:
         target, mutant_cls = MUTANTS[mutant]
-        if name == target:
+        if row.name == target:
             return mutant_cls()
-    if name == "clank":
-        return ClankRuntime()
-    if name == "progress":
-        return ProgressRuntime(output_ranges_of(kernel))
-    if name == "nvp":
-        return NVPRuntime()
-    if name == "hibernus":
-        return HibernusRuntime()
-    raise ValueError(f"unknown runtime {name!r}")
+    return row.live(kernel, None, None)
 
 
 def run_scenario(
@@ -211,17 +198,16 @@ def run_scenario(
     caches = caches or _Caches()
     workload, kernel, golden = caches.resolve(scenario.workload, scenario.mode)
     cpu = kernel.make_cpu(workload.inputs)
+    row = runtime_row(scenario.runtime)
+    runtime = _build_runtime(row, mutant, kernel)
     supply = ChaosSupply(
         scenario.trace(),
         Capacitor(v_initial=3.0),
-        EnergyModel(
-            backup_overhead=(
-                _NVP_BACKUP_OVERHEAD if scenario.runtime == "nvp" else 0.0
-            )
-        ),
-        defer_trips=scenario.runtime == "hibernus",
+        row.energy_model(),
+        # A just-in-time runtime (the executor's on_low_voltage test)
+        # hears the low-voltage warning before a forced outage trips.
+        defer_trips=getattr(runtime, "on_low_voltage", None) is not None,
     )
-    runtime = _build_runtime(scenario.runtime, mutant, kernel)
     executor = IntermittentExecutor(cpu, supply, runtime)
     controller = ChaosController(
         scenario.plan, cpu, supply, runtime, kernel

@@ -1,4 +1,7 @@
-"""Intermittent-computing runtimes: checkpointing, NVP, skim points."""
+"""Intermittent-computing runtimes: checkpointing, NVP, skim points.
+
+:mod:`repro.runtime.table` declares each runtime in one row.
+"""
 
 from .base import IntermittentRuntime, RuntimeStats
 from .checkpoint import Checkpoint

@@ -40,6 +40,10 @@ class IntermittentRuntime(ABC):
     #: intact. The chaos engine's torn-commit injector consults this;
     #: only deliberately broken mutants set it False.
     atomic_commit = True
+    #: The core loses its registers (and volatile memory) on an outage,
+    #: so uncommitted progress is discarded; False for a core that
+    #: backs up every cycle (NVP).
+    volatile_core = True
 
     def __init__(self, skim: SkimRegister = None):
         self.skim = skim if skim is not None else SkimRegister()
@@ -93,6 +97,8 @@ class ReplayPolicy:
     name = "abstract"
     #: Chunk interval for the executor's inner loop (Clank's watchdog).
     watchdog_cycles: Optional[int] = None
+    #: As :attr:`IntermittentRuntime.volatile_core`.
+    volatile_core = True
 
     def __init__(self, record: ReplayRecord, skim: SkimRegister):
         self.record = record

@@ -20,9 +20,9 @@ interpreter path.
 
 Each runtime's :class:`~repro.runtime.base.ReplayPolicy` is the only
 statement of its replay semantics: the walk here never looks inside a
-chunk, so a new runtime needs a live runtime and a replay policy, and
-nothing else. Lanes share only the record's memoized answers — WAR
-horizons (answered in one shot by
+chunk, so a new runtime needs a live runtime, a replay policy and a row
+in :mod:`repro.runtime.table`, and nothing else. Lanes share only the
+record's memoized answers — WAR horizons (answered in one shot by
 :class:`~repro.sim.batch_replay.BatchIndex` when numpy is available),
 output-store positions and keyframe images — which are
 order-independent, so lanes walk one after another (and then finish
@@ -70,7 +70,6 @@ from ..sim.batch_replay import (
 from ..sim.replay import ReplayDiverged, ReplayRecord
 from .base import ReplayPolicy
 from .checkpoint import Checkpoint
-from .clank import ClankReplayPolicy, ClankRuntime
 from .executor import (
     IDLE_TICK_LIMIT,
     STALLED_RESTORE_LIMIT,
@@ -79,15 +78,8 @@ from .executor import (
     check_sample_deadline,
     sample_deadline_armed,
 )
-from .hibernus import HibernusReplayPolicy, HibernusRuntime
-from .nvp import NVPReplayPolicy, NVPRuntime
-from .progress import (
-    ProgressReplayPolicy,
-    ProgressRuntime,
-    output_ranges_of,
-    output_store_positions,
-)
 from .skim import SkimRegister
+from .table import runtime_row
 
 #: Exceptions that demote one lane to the interpreter.
 _DEMOTE = (ReplayDiverged, ProgressStall)
@@ -99,52 +91,6 @@ _LIVELOCK_MESSAGE = (
     "the storage capacitor or shorten the "
     "runtime's watchdog/checkpoint period."
 )
-
-
-def _make_policy(
-    runtime: str,
-    record: ReplayRecord,
-    skim: SkimRegister,
-    watchdog_cycles: Optional[int],
-    kernel=None,
-) -> ReplayPolicy:
-    if runtime == "clank":
-        kwargs = {}
-        if watchdog_cycles is not None:
-            kwargs["watchdog_cycles"] = watchdog_cycles
-        return ClankReplayPolicy(record, skim, **kwargs)
-    if runtime == "progress":
-        kwargs = {}
-        if watchdog_cycles is not None:
-            kwargs["watchdog_cycles"] = watchdog_cycles
-        positions = output_store_positions(record, output_ranges_of(kernel))
-        return ProgressReplayPolicy(record, skim, positions, **kwargs)
-    if runtime == "nvp":
-        return NVPReplayPolicy(record, skim)
-    if runtime == "hibernus":
-        return HibernusReplayPolicy(record, skim)
-    raise ValueError(
-        f"unknown runtime {runtime!r} "
-        "(want 'clank', 'progress', 'nvp' or 'hibernus')"
-    )
-
-
-def _make_handoff_runtime(
-    runtime: str, skim: SkimRegister, watchdog_cycles: Optional[int], kernel=None
-):
-    if runtime == "clank":
-        kwargs = {"skim": skim}
-        if watchdog_cycles is not None:
-            kwargs["watchdog_cycles"] = watchdog_cycles
-        return ClankRuntime(**kwargs)
-    if runtime == "progress":
-        kwargs = {"skim": skim}
-        if watchdog_cycles is not None:
-            kwargs["watchdog_cycles"] = watchdog_cycles
-        return ProgressRuntime(output_ranges_of(kernel), **kwargs)
-    if runtime == "nvp":
-        return NVPRuntime(skim=skim)
-    return HibernusRuntime(skim=skim)
 
 
 def _merge_stats(into, other) -> None:
@@ -181,7 +127,7 @@ def _walk(
     start_tick = supply.tick
     pending_overhead = 0
     pending_kind = "restore"
-    volatile = policy.name != "nvp"
+    volatile = policy.volatile_core
     stalled_restores = 0
     idle_ticks = 0
     last_restore_signature = None
@@ -359,8 +305,8 @@ def finish_replay_run(
     checkpoint = Checkpoint.from_cpu(cpu)
     cpu.pc = target
     cpu.halted = False
-    live_runtime = _make_handoff_runtime(
-        args["runtime"], skim, args.get("watchdog_cycles"), kernel
+    live_runtime = runtime_row(args["runtime"]).live(
+        kernel, skim, args.get("watchdog_cycles")
     )
     live = IntermittentExecutor(cpu, supply, live_runtime)
     if hasattr(live_runtime, "checkpoint"):
@@ -407,9 +353,9 @@ def run_batch_group(
     """Run one configuration's samples as replay lanes over ``record``.
 
     ``lane_args`` is one dict per sample with keys ``trace``,
-    ``runtime``, ``capacitor``, ``energy_model``, ``start_tick``,
-    ``max_wall_ms`` and (for clank/progress) ``watchdog_cycles``.
-    Returns one :class:`IntermittentRun` per sample in order, with
+    ``runtime`` (a name in :mod:`repro.runtime.table`; any other raises
+    ``ValueError``), ``capacitor``, ``energy_model``, ``start_tick``,
+    ``max_wall_ms`` and (optionally) ``watchdog_cycles``. Returns one :class:`IntermittentRun` per sample in order, with
     ``None`` for demoted lanes the caller must run on the interpreter.
     Under ``REPRO_TRACE`` each demotion emits a ``replay_fallback``
     event with its reason. An armed sample deadline
@@ -419,6 +365,7 @@ def run_batch_group(
     share ``record``: groups on one record run one at a time.
     """
     traced = TRACER.enabled
+    rows = [runtime_row(args["runtime"]) for args in lane_args]
     if not record.replayable:
         if traced:
             for _args in lane_args:
@@ -432,12 +379,9 @@ def run_batch_group(
             record.batch = index if index is not None else False
         timed = sample_deadline_armed()
         walked = []
-        for args in lane_args:
+        for args, row in zip(lane_args, rows):
             skim = SkimRegister()
-            policy = _make_policy(
-                args["runtime"], record, skim, args.get("watchdog_cycles"),
-                kernel,
-            )
+            policy = row.replay(record, kernel, skim, args.get("watchdog_cycles"))
             supply = PowerSupply(
                 args["trace"], args["capacitor"], args["energy_model"],
                 start_tick=args["start_tick"],

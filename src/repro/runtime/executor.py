@@ -100,7 +100,7 @@ class IntermittentExecutor:
         self.runtime = runtime
         runtime.attach(cpu)
         #: True if the core loses register state on outage (Clank-style).
-        self.volatile_core = runtime.name != "nvp"
+        self.volatile_core = runtime.volatile_core
 
     def run(
         self,

@@ -6,7 +6,8 @@ paper implements the backup-every-cycle policy of Ma et al., HPCA'15).
 When power fails nothing architectural is lost; when power returns the
 core resumes at the exact interrupted PC after a short wake-up. The
 price is a per-cycle energy overhead for the NV backup, modelled by
-``EnergyModel(backup_overhead=...)`` in the executor's supply.
+``EnergyModel(backup_overhead=...)`` in the executor's supply (its
+value is NVP's row of :mod:`repro.runtime.table`).
 
 With WN skim points, the restore first consults the skim register and
 jumps to the skim target if armed.
@@ -30,6 +31,7 @@ class NVPRuntime(IntermittentRuntime):
     """Backup-every-cycle: state survives outages by construction."""
 
     name = "nvp"
+    volatile_core = False
 
     def __init__(
         self,
@@ -68,6 +70,7 @@ class NVPReplayPolicy(ReplayPolicy):
     re-execution)."""
 
     name = "nvp"
+    volatile_core = False
 
     def __init__(
         self,

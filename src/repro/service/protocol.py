@@ -68,6 +68,7 @@ class JobSpec:
 
     def validate(self) -> None:
         """Raise ``ValueError`` for anything the harness would reject."""
+        from ..runtime.table import runtime_row
         from ..workloads import ALL_BENCHMARKS
 
         if self.workload not in ALL_BENCHMARKS:
@@ -78,8 +79,7 @@ class JobSpec:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode != "precise" and self.bits not in (1, 2, 3, 4, 8):
             raise ValueError(f"invalid bits {self.bits!r} for mode {self.mode!r}")
-        if self.runtime not in ("clank", "progress", "nvp", "hibernus"):
-            raise ValueError(f"unknown runtime {self.runtime!r}")
+        runtime_row(self.runtime)
         if self.scale not in ("tiny", "default", "paper"):
             raise ValueError(f"unknown scale {self.scale!r}")
         if self.trace_count < 1 or self.invocations < 1:

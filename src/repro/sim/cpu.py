@@ -43,7 +43,6 @@ from .decode import bind_handlers, decode_program
 from .memory import Memory
 from .multiplier import Multiplier
 from .stats import ExecutionStats
-from .superblock import build_superblocks
 
 
 class CpuFault(Exception):
@@ -77,7 +76,6 @@ class CPU:
         "_metas",
         "_peek_costs",
         "_handlers",
-        "_superblocks",
         "__dict__",
     )
 
@@ -110,7 +108,6 @@ class CPU:
         self._retire_counts: Optional[List[int]] = None
         self._taken_counts: Optional[List[int]] = None
         self._extra_cycles = 0
-        self._superblocks = None
         if self.predecode:
             decoded = decode_program(program)
             self._metas = decoded.metas
@@ -118,7 +115,6 @@ class CPU:
             self._retire_counts = [0] * len(self._instructions)
             self._taken_counts = [0] * len(self._instructions)
             self._handlers = bind_handlers(self)
-            self._superblocks = build_superblocks(self)
 
     # -- statistics ------------------------------------------------------------
 
@@ -200,38 +196,15 @@ class CPU:
         if "step" in self.__dict__:
             return self._run_generic(max_instructions)
         handlers = self._handlers
-        blocks = self._superblocks
         self._flush_stats()
         start_cycles = self._stats.cycles
         try:
-            if blocks is None:
-                for _ in range(max_instructions + 1):
-                    if self.halted:
-                        break
-                    handlers[self.pc]()
-                else:
-                    raise CpuFault(
-                        "instruction limit exceeded (runaway program?)"
-                    )
+            for _ in range(max_instructions + 1):
+                if self.halted:
+                    break
+                handlers[self.pc]()
             else:
-                # Same contract as the for-else loop above: up to
-                # max_instructions + 1 instructions execute, and the
-                # (max+1)-th execution trips the limit even if it halts.
-                # Fused blocks only run while they fit under the limit,
-                # so the boundary is always reached one-at-a-time.
-                executed = 0
-                while not self.halted:
-                    blk = blocks[self.pc]
-                    if blk is not None and executed + blk[1] <= max_instructions:
-                        blk[0]()
-                        executed += blk[1]
-                    else:
-                        handlers[self.pc]()
-                        executed += 1
-                        if executed > max_instructions:
-                            raise CpuFault(
-                                "instruction limit exceeded (runaway program?)"
-                            )
+                raise CpuFault("instruction limit exceeded (runaway program?)")
         except IndexError:
             raise CpuFault(f"PC out of range: {self.pc}") from None
         self._flush_stats()
@@ -249,28 +222,9 @@ class CPU:
             return self._run_cycles_generic(budget)
         handlers = self._handlers
         costs = self._peek_costs
-        # Fused blocks commit several instructions per dispatch. A block
-        # runs only when its summed worst-case cost fits the remaining
-        # budget, which implies every member passes the per-instruction
-        # fit check the scalar loop would have applied (actual cost never
-        # exceeds worst case). A store hook may charge overhead beyond
-        # the worst-case sum, so fusion is bypassed while one is set.
-        blocks = self._superblocks if self.store_hook is None else None
         consumed = 0
-        if blocks is None:
-            while not self.halted:
-                pc = self.pc
-                cost = costs[pc]
-                if consumed + cost > budget:
-                    break
-                consumed += handlers[pc]()
-            return consumed
         while not self.halted:
             pc = self.pc
-            blk = blocks[pc]
-            if blk is not None and consumed + blk[2] <= budget:
-                consumed += blk[0]()
-                continue
             cost = costs[pc]
             if consumed + cost > budget:
                 break

@@ -1,8 +1,6 @@
 """The content-addressed result store (``REPRO_STORE``).
 
-``REPRO_RESUME`` (PR 5) persists one *run's* per-config samples so an
-interrupted grid can restart. This module generalizes that idea into a
-**global cache shared across runs and entry points**: every finished
+A **global cache shared across runs and entry points**: every finished
 configuration — a ``(workload, scale, mode, bits, runtime, grid shape,
 calibrated environment)`` tuple — is keyed by the sha256 of its
 canonical JSON description and stored under
@@ -46,9 +44,9 @@ from typing import Dict, Iterator, List, Optional
 
 #: Version of the stored result payload. Bump when the meaning or shape
 #: of a SampleRun / metrics / ledger rollup changes: the bump flows into
-#: every fingerprint (and the ``REPRO_RESUME`` key), so all existing
-#: cache entries become unreachable and recompute — stale caches
-#: self-invalidate instead of serving old-shape data.
+#: every fingerprint, so all existing cache entries become unreachable
+#: and recompute — stale caches self-invalidate instead of serving
+#: old-shape data.
 #: v3: entries carry a content checksum (fsck). v4: replayed samples
 #: book post-skim re-execution as ``reexec`` (as the interpreter does)
 #: and count as ``engine.replay``.
@@ -126,9 +124,9 @@ def result_payload(
     """The on-disk value for one configuration.
 
     ``runs`` is the full sample list (every field, metrics and ledger
-    included — the same dicts ``REPRO_RESUME`` persists); ``metrics``
-    and ``ledger`` are the *merged* per-configuration rollups, stored
-    alongside so ``repro report --live`` renders without re-merging.
+    included); ``metrics`` and ``ledger`` are the *merged*
+    per-configuration rollups, stored alongside so ``repro report
+    --live`` renders without re-merging.
     The embedded ``checksum`` pins the content for ``store fsck``."""
     payload = {
         "schema": RESULT_SCHEMA_VERSION,

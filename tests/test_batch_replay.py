@@ -33,6 +33,7 @@ from repro.sim.batch_replay import (
     numpy_or_none,
     trace_energy_array,
 )
+from repro.runtime.table import RUNTIME_NAMES
 from repro.sim.replay import record_run
 from repro.workloads import make_workload
 from tests.golden import interp_runs
@@ -104,7 +105,7 @@ class TestGridDifferential:
         assert batched == len(batch), "some samples demoted off the batch path"
 
     @pytest.mark.parametrize("workload_name", ["MatMul", "Var"])
-    @pytest.mark.parametrize("runtime", ["clank", "nvp", "hibernus"])
+    @pytest.mark.parametrize("runtime", RUNTIME_NAMES)
     def test_runtime_grid_batch_identical(
         self, monkeypatch, workload_name, runtime
     ):
@@ -435,8 +436,8 @@ class TestVectorKernels:
 class TestChaosSmoke:
     def test_hundred_scenarios_zero_violations_with_batch(self):
         """The chaos campaign's consistency oracle stays silent
-        (covering the fused run_cycles live path the campaign's
-        executors take)."""
+        (covering the run_cycles live path the campaign's executors
+        take)."""
         from repro.fault.campaign import run_campaign
 
         report = run_campaign(seed=1234, count=100)

@@ -23,6 +23,7 @@ from repro.isa.instructions import (
 from repro.isa.program import Program
 from repro.power import Capacitor, EnergyModel, wifi_trace
 from repro.sim import CPU, ReferenceCPU, default_memory
+from repro.sim.cpu import CpuFault
 from repro.workloads import BENCHMARKS, make_workload
 
 SCRATCH = 0x100  # NVM scratch the random programs read/write through R7
@@ -203,6 +204,44 @@ class TestCallReturn:
         assert _state(fast) == _state(ref)
         assert fast.stats.as_dict() == ref.stats.as_dict()
         assert fast.regs[1] == 11
+
+
+STRAIGHT_THEN_LOOP = """
+    MOV R1, #0
+    MOV R2, #10
+loop:
+    ADD R1, R1, #3
+    SUB R3, R1, #1
+    AND R4, R1, R3
+    ORR R5, R4, #1
+    SUB R2, R2, #1
+    CMP R2, #0
+    BNE loop
+    HALT
+"""
+
+
+def _run_limited(cpu, limit):
+    """``(fault message or None, cycles or None)`` of ``cpu.run(limit)``."""
+    try:
+        return None, cpu.run(max_instructions=limit)
+    except CpuFault as exc:
+        return str(exc), None
+
+
+class TestInstructionLimit:
+    def test_limit_boundary_matches_reference(self):
+        """``run`` executes up to ``max_instructions + 1`` instructions,
+        and the (max+1)-th trips the limit even when it halts. The
+        program retires 73 instructions, HALT last: limits before and
+        inside the loop, at HALT (72 faults, 73 does not) and past it."""
+        program = assemble(STRAIGHT_THEN_LOOP)
+        for limit in list(range(0, 12)) + [72, 73, 80, 81, 82, 83, 200]:
+            fast, ref = _fresh_pair(program, [0] * SCRATCH_WORDS)
+            outcome = _run_limited(fast, limit)
+            assert outcome == _run_limited(ref, limit), limit
+            assert _state(fast) == _state(ref), limit
+            assert (outcome[0] is None) == (limit >= 73), limit
 
 
 def _workload_configs():

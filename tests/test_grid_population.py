@@ -90,7 +90,7 @@ def check_population(scale: str, seed: int = SEED) -> int:
 
 
 def test_grid_cli_population_matches_interpreter(monkeypatch):
-    for key in ("REPRO_JOBS", "REPRO_FAULTS", "REPRO_STORE", "REPRO_RESUME"):
+    for key in ("REPRO_JOBS", "REPRO_FAULTS", "REPRO_STORE"):
         monkeypatch.delenv(key, raising=False)
     plans = _bench_workloads()
     want = (len(plans.GRID_KERNELS) * len(plans.RUNTIMES) * 3

@@ -18,6 +18,7 @@ from repro.experiments.common import (
     run_benchmark,
     run_benchmark_suite,
 )
+from repro.runtime.table import RUNTIME_NAMES
 from repro.sim.replay import record_run
 from repro.workloads import make_workload
 from tests.golden import interp_runs
@@ -60,7 +61,7 @@ def test_fig10_grid_replay_identical(monkeypatch):
 
 
 @pytest.mark.parametrize("workload_name", ["MatMul", "Var"])
-@pytest.mark.parametrize("runtime", ["clank", "nvp", "hibernus"])
+@pytest.mark.parametrize("runtime", RUNTIME_NAMES)
 def test_runtime_grid_replay_identical(monkeypatch, workload_name, runtime):
     """Every runtime policy replays exactly, on two different workloads."""
     _serial_env(monkeypatch)

@@ -3,13 +3,15 @@
 * a worker process dying mid-grid never kills the run — its
   configuration group is retried serially with one aggregated stderr
   warning and the results are identical to an undisturbed run;
-* ``REPRO_RESUME=<dir>`` persists per-config results atomically, so an
-  interrupted ``REPRO_JOBS=4`` grid resumes bit-identically;
+* ``REPRO_STORE=<dir>`` persists per-config results atomically, so an
+  interrupted ``REPRO_JOBS=4`` grid resumes bit-identically, re-running
+  only the configurations it lost;
 * ``REPRO_SAMPLE_TIMEOUT`` converts a pathological sample into a typed
   :class:`~repro.errors.SampleTimeout` instead of a hang;
 * ``REPRO_FAULTS=<seed>`` swaps in deterministic adversarial traces.
 """
 
+import dataclasses
 import os
 import time
 
@@ -26,6 +28,7 @@ from repro.experiments.common import (
     run_benchmark_suite,
 )
 from repro.runtime.executor import set_sample_deadline
+from repro.store.cas import config_fingerprint
 from repro.workloads import make_workload
 
 SETUP = ExperimentSetup(
@@ -109,50 +112,54 @@ class TestResume:
             workload, CONFIGS, "clank", SETUP, environment
         )
 
-        monkeypatch.setenv("REPRO_RESUME", str(tmp_path))
+        monkeypatch.setenv("REPRO_STORE", str(tmp_path))
         # "Interrupt": only the first config finished before the crash.
         run_benchmark_suite(workload, CONFIGS[:1], "clank", SETUP, environment)
-        assert len(list(tmp_path.glob("*.json"))) == 1
 
+        executed = []
+        real = common._map_samples
+
+        def recording(specs, jobs):
+            executed.extend((spec.mode, spec.bits) for spec in specs)
+            return real(specs, jobs)
+
+        monkeypatch.setattr(common, "_map_samples", recording)
         resumed = run_benchmark_suite(workload, CONFIGS, "clank", SETUP, environment)
         assert full_dicts(resumed) == full_dicts(uninterrupted)
-        assert len(list(tmp_path.glob("*.json"))) == len(CONFIGS)
+        # Only the configuration the interrupted run lost executed.
+        assert executed == [CONFIGS[1]] * (SETUP.trace_count * SETUP.invocations)
 
-        # Everything cached now: a third run must not execute any spec.
-        monkeypatch.setattr(
-            common, "_map_samples",
-            lambda specs, jobs: (
-                [] if not specs else pytest.fail("resume should skip execution")
-            ),
-        )
-        cached = run_benchmark_suite(workload, CONFIGS, "clank", SETUP, environment)
-        assert full_dicts(cached) == full_dicts(uninterrupted)
-
-    def test_torn_resume_file_is_recomputed(self, home, monkeypatch, tmp_path):
+    @pytest.mark.parametrize(
+        "variant, changes",
+        [
+            (lambda workload, env: (
+                dataclasses.replace(env, capacitor_f=env.capacitor_f * 2), None
+            ), True),
+            (lambda workload, env: (
+                env, [value + 1.0 for value in workload.decoded_reference()]
+            ), True),
+            (lambda workload, env: (
+                env, list(workload.decoded_reference())
+            ), False),
+        ],
+        ids=["environment", "reference-override", "default-reference-spelled-out"],
+    )
+    def test_fingerprint_changes_exactly_when_samples_can(
+        self, home, variant, changes
+    ):
+        """A changed environment or a real reference override gets its
+        own store entry; the default reference spelled out shares the
+        default's entry."""
         workload, environment = home
-        monkeypatch.setenv("REPRO_RESUME", str(tmp_path))
-        result = run_benchmark(workload, "precise", None, "clank", SETUP, environment)
-        (path,) = tmp_path.glob("*.json")
-        path.write_text('{"runs": [{"torn')  # a torn write from a crash
-        again = run_benchmark(workload, "precise", None, "clank", SETUP, environment)
-        assert again.runs == result.runs
 
-    def test_key_depends_on_environment(self, home):
-        workload, environment = home
-        key_a = common._resume_key(
-            workload.name, workload.scale, "precise", None, "clank",
-            SETUP, environment,
-        )
-        other = common.Environment(
-            capacitor_f=environment.capacitor_f * 2,
-            watchdog_cycles=environment.watchdog_cycles,
-            swing_cycles=environment.swing_cycles,
-        )
-        key_b = common._resume_key(
-            workload.name, workload.scale, "precise", None, "clank",
-            SETUP, other,
-        )
-        assert key_a != key_b  # stale results can never be served
+        def fingerprint(env, reference):
+            return config_fingerprint(
+                workload.name, workload.scale, "precise", None, "clank",
+                SETUP, env, common._fingerprint_reference(workload, reference),
+            )
+
+        base = fingerprint(environment, None)
+        assert (fingerprint(*variant(workload, environment)) != base) is changes
 
 
 class TestSampleTimeout:

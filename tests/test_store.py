@@ -3,8 +3,8 @@
 * a warm store serves byte-identical results without executing a single
   sample, across both the serial and the ``REPRO_JOBS`` suite paths;
 * bumping the result schema (or the package version) changes every
-  fingerprint and the ``REPRO_RESUME`` key, so stale entries recompute
-  instead of being served;
+  fingerprint, so stale entries recompute instead of being served;
+* a reference override is its own entry, with its own ``error`` values;
 * torn, truncated and foreign files load as misses and are overwritten;
 * concurrent writers (process pools and threads) never corrupt an
   entry, and hit == miss byte for byte;
@@ -23,7 +23,6 @@ import repro.experiments.common as common
 import repro.store.cas as cas
 from repro.experiments.common import (
     ExperimentSetup,
-    _resume_key,
     _sample_run_to_dict,
     calibrate_environment,
     experiment_store,
@@ -86,6 +85,24 @@ class TestStoreHits:
         second = run_benchmark_suite(workload, CONFIGS, "clank", SETUP, environment)
         assert full_dicts(second) == full_dicts(first)
 
+    def test_reference_override_gets_its_own_errors(
+        self, home, tmp_path, monkeypatch
+    ):
+        workload, environment = home
+        override = [value + 1.0 for value in workload.decoded_reference()]
+
+        def errors(reference=None):
+            result = run_benchmark(
+                workload, "precise", None, "clank", SETUP, environment,
+                reference=reference,
+            )
+            return [run.error for run in result.runs]
+
+        expected = errors(override)  # no store: the ground truth
+        monkeypatch.setenv("REPRO_STORE", str(tmp_path / "store"))
+        default = errors()
+        assert errors(override) == expected != default
+
     def test_chaos_disables_store(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_STORE", str(tmp_path / "store"))
         assert experiment_store() is not None
@@ -94,17 +111,13 @@ class TestStoreHits:
 
 
 class TestSelfInvalidation:
-    def test_schema_bump_changes_fingerprint_and_resume_key(
-        self, home, monkeypatch
-    ):
+    def test_schema_bump_changes_fingerprint(self, home, monkeypatch):
         workload, environment = home
         args = ("Home", "tiny", "swv", 8, "clank", SETUP, environment)
         before_fp = config_fingerprint(*args)
-        before_key = _resume_key(*args)
         monkeypatch.setattr(cas, "RESULT_SCHEMA_VERSION", 999)
         assert code_schema_tag().endswith("/999")
         assert config_fingerprint(*args) != before_fp
-        assert _resume_key(*args) != before_key
 
     def test_schema_bump_forces_recompute(self, home, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_STORE", str(tmp_path / "store"))
