@@ -69,12 +69,7 @@ def cmd_run(args) -> int:
                       file=sys.stderr)
                 return 2
             print(f"== {name} ==")
-            runner = EXPERIMENTS[name]
-            try:
-                result = runner(setup)
-            except TypeError:
-                result = runner()
-            _print_result(name, result)
+            _print_result(name, EXPERIMENTS[name](setup))
             print()
     finally:
         if manifest_path:
@@ -299,31 +294,18 @@ def cmd_serve(args) -> int:
 
     The store directory comes from ``--store`` or ``REPRO_STORE``;
     without either the service still runs but caches nothing (every
-    submission computes). ``--journal`` (or ``REPRO_JOURNAL``) arms the
-    durable job journal and crash recovery. See docs/SERVICE.md."""
+    submission computes). ``--journal`` arms the durable job journal and
+    crash recovery. See docs/SERVICE.md."""
     import asyncio
     import os
 
     from .errors import SocketInUseError
-    from .service.journal import JOURNAL_ENV, JOURNAL_FSYNC_ENV
+    from .service.journal import JOURNAL_FSYNC_ENV
     from .service.protocol import default_socket_path
     from .service.server import ExperimentService
 
-    def env_or(flag, name, cast):
-        if flag is not None:
-            return flag
-        raw = os.environ.get(name, "").strip()
-        if not raw:
-            return None
-        try:
-            return cast(raw)
-        except ValueError:
-            return None
-
     store_dir = args.store or os.environ.get("REPRO_STORE", "").strip() or None
-    journal_path = (
-        args.journal or os.environ.get(JOURNAL_ENV, "").strip() or None
-    )
+    journal_path = args.journal or None
     journal_fsync = os.environ.get(JOURNAL_FSYNC_ENV, "").strip() not in (
         "", "0", "false", "no",
     )
@@ -335,8 +317,8 @@ def cmd_serve(args) -> int:
         max_workers=args.workers,
         journal_path=journal_path,
         journal_fsync=journal_fsync,
-        job_timeout=env_or(args.job_timeout, "REPRO_JOB_TIMEOUT", float),
-        max_pending=env_or(args.max_pending, "REPRO_MAX_PENDING", int),
+        job_timeout=args.job_timeout,
+        max_pending=args.max_pending,
         recover=args.recover,
     )
 
@@ -621,6 +603,20 @@ def _bench_workload(args) -> int:
     return 0
 
 
+def _positive_seconds(raw: str) -> float:
+    """argparse type of ``serve --job-timeout``: a watchdog of zero or
+    less would fail every job, so it is a usage error."""
+    try:
+        seconds = float(raw)
+        if seconds > 0:
+            return seconds
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"want a positive number of seconds, got {raw!r}"
+    )
+
+
 def main(argv: Optional[list] = None) -> int:
     """Argparse entry point; returns the process exit code."""
     from .runtime.table import RUNTIME_NAMES
@@ -728,21 +724,20 @@ def main(argv: Optional[list] = None) -> int:
                               help="result store directory (default: "
                                    "REPRO_STORE; unset disables caching)")
     serve_parser.add_argument("--journal", default=None,
-                              help="durable job journal path (default "
-                                   "$REPRO_JOURNAL; unset = no journal)")
+                              help="durable job journal path (unset = no "
+                                   "journal)")
     serve_parser.add_argument("--no-recover", dest="recover",
                               action="store_false",
                               help="skip replaying the journal's pending "
                                    "jobs on boot")
-    serve_parser.add_argument("--job-timeout", type=float, default=None,
-                              help="per-job wall-clock watchdog in seconds "
-                                   "(default $REPRO_JOB_TIMEOUT; unset = "
-                                   "no watchdog)")
+    serve_parser.add_argument("--job-timeout", type=_positive_seconds,
+                              default=None,
+                              help="per-job wall-clock watchdog in seconds, "
+                                   "> 0 (unset = no watchdog)")
     serve_parser.add_argument("--max-pending", type=int, default=None,
                               help="bound on concurrent in-flight jobs; "
                                    "overflow is load-shed with a typed "
-                                   "'busy' event (default "
-                                   "$REPRO_MAX_PENDING; unset = unbounded)")
+                                   "'busy' event (unset = unbounded)")
     serve_parser.add_argument("--workers", type=int, default=None,
                               help="compute thread pool size "
                                    "(default: min(8, cpus))")

@@ -388,8 +388,7 @@ def run_grid_bench(reps: int = 3, scale: str = "default") -> dict:
         def replay_pass():
             return [
                 run_benchmark(
-                    workload, mode, bits, runtime, setup, environment,
-                    reference, jobs=1,
+                    workload, mode, bits, runtime, setup, environment, reference,
                 ).runs
                 for mode, bits in configs
             ]
@@ -532,17 +531,6 @@ def save_grid_bench(
     if history is not None:
         append_history(grid_history_record(payload), history)
     return path
-
-
-def write_grid_bench(
-    path: Optional[Path] = None,
-    reps: int = 3,
-    scale: str = "default",
-    history: Optional[Path] = DEFAULT_HISTORY,
-) -> dict:
-    payload = run_grid_bench(reps=reps, scale=scale)
-    save_grid_bench(payload, path, history)
-    return payload
 
 
 def format_grid_bench(payload: dict) -> str:

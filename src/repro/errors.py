@@ -127,7 +127,7 @@ class ServiceBusy(ServiceError):
 class ServiceTimeout(ServiceError):
     """A service deadline expired: the client's socket read deadline
     (``REPRO_CLIENT_TIMEOUT``) or the server's per-job wall-clock
-    watchdog (``REPRO_JOB_TIMEOUT``); ``side=client``/``side=server``
+    watchdog (``serve --job-timeout``); ``side=client``/``side=server``
     context distinguishes the two."""
 
 

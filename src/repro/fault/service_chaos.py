@@ -190,12 +190,9 @@ def _spawn_server(
         not in (
             CHAOS_ENV,
             "REPRO_STORE",
-            "REPRO_JOURNAL",
             "REPRO_JOURNAL_FSYNC",
             "REPRO_JOBS",
             "REPRO_FAULTS",
-            "REPRO_MAX_PENDING",
-            "REPRO_JOB_TIMEOUT",
         )
     }
     src_dir = str(Path(repro.__file__).resolve().parent.parent)

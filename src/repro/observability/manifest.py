@@ -11,9 +11,9 @@ Usage has two halves:
 * The harness half is passive. While a manifest is *active*
   (:func:`begin_manifest` … :func:`finish_manifest`),
   :func:`record_result` — called by
-  :func:`repro.experiments.common.run_benchmark` after every finished
-  configuration — appends that configuration's rollup. When no manifest
-  is active the call is a single ``is None`` check.
+  :func:`repro.experiments.common.run_benchmark_suite` after every
+  finished configuration — appends that configuration's rollup. When no
+  manifest is active the call is a single ``is None`` check.
 * The driver half lives in the CLI: ``python -m repro run`` opens a
   manifest when ``REPRO_MANIFEST=<path>`` is set (or ``--manifest`` is
   passed) and writes it when the experiments finish. The CI workflow

@@ -1,4 +1,4 @@
-"""The durable job journal (``REPRO_JOURNAL``): crash-tolerant accepts.
+"""The durable job journal (``serve --journal``): crash-tolerant accepts.
 
 The paper treats power failure as a normal event to survive, not an
 error — this module applies the same philosophy to the service host.
@@ -41,9 +41,6 @@ import json
 import os
 import threading
 from typing import Dict, List, Optional, Tuple
-
-#: Environment variable naming the journal file (arms journaling).
-JOURNAL_ENV = "REPRO_JOURNAL"
 
 #: Environment variable arming per-record fsync (``1`` = on).
 JOURNAL_FSYNC_ENV = "REPRO_JOURNAL_FSYNC"

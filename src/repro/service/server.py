@@ -17,21 +17,20 @@ localhost TCP. The scheduler's contract:
   paper's skim-point answer, served before refinement — and the final
   ``result`` event once the full grid (on the replay engine) is
   merged and persisted to the store.
-* **Durable accepts.** With a job journal armed (``REPRO_JOURNAL`` or
-  ``serve --journal``), every accepted compute is appended to the
-  journal *before* its first sample executes and marked done once the
-  store entry lands. A server killed anywhere in between replays the
-  pending accepts on the next boot (``--recover``, default on) —
-  idempotently, because jobs are content-addressed store-first
-  operations. This is the paper's commit-at-boundary discipline
-  applied to the service host itself.
+* **Durable accepts.** With a job journal armed (``serve --journal``),
+  every accepted compute is appended to the journal *before* its first
+  sample executes and marked done once the store entry lands. A server
+  killed anywhere in between replays the pending accepts on the next
+  boot (``--recover``, default on) — idempotently, because jobs are
+  content-addressed store-first operations. This is the paper's
+  commit-at-boundary discipline applied to the service host itself.
 
 Hardening (all typed, none fatal to the process):
 
-* a per-job wall-clock **watchdog** (``REPRO_JOB_TIMEOUT``) converts a
-  hung compute into a ``job-timeout`` error event instead of a stuck
+* a per-job wall-clock **watchdog** (``serve --job-timeout``) converts
+  a hung compute into a ``job-timeout`` error event instead of a stuck
   connection;
-* a bounded in-flight queue (``REPRO_MAX_PENDING``) **load-sheds**
+* a bounded in-flight queue (``serve --max-pending``) **load-sheds**
   overflow submissions with a ``busy`` error event carrying a
   ``retry_after`` hint (the resilient client backs off and resubmits);
 * SIGTERM (and the ``shutdown`` op) triggers a **graceful drain**:

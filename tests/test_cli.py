@@ -36,6 +36,60 @@ class TestCli:
         with pytest.raises(SystemExit):
             main([])
 
+    def test_run_propagates_an_experiments_type_error(self, monkeypatch):
+        """A TypeError inside an experiment is its failure: the CLI must
+        not rerun the entry with the default setup and report success."""
+        from repro.experiments import EXPERIMENTS
+
+        calls = []
+
+        def entry(setup=None):
+            calls.append(setup)
+            if setup is not None:
+                raise TypeError("bad setup")
+            return "default-setup result"
+
+        monkeypatch.setitem(EXPERIMENTS, "typeerror", entry)
+        with pytest.raises(TypeError, match="bad setup"):
+            main(["run", "typeerror", "--scale", "tiny"])
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "soon"])
+    def test_serve_rejects_a_non_positive_job_timeout(
+        self, value, tmp_path, monkeypatch, capsys
+    ):
+        """A watchdog <= 0 would fail every job: a usage error (exit 2)
+        before the service is built or a socket bound."""
+        from repro.service import server
+
+        monkeypatch.setattr(
+            server, "ExperimentService",
+            lambda **kwargs: pytest.fail("service built with a bad --job-timeout"),
+        )
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--socket", str(tmp_path / "s.sock"),
+                  "--job-timeout", value])
+        assert exit_info.value.code == 2
+        assert "want a positive number of seconds" in capsys.readouterr().err
+        assert not (tmp_path / "s.sock").exists()
+
+    def test_serve_passes_a_positive_job_timeout(self, tmp_path, monkeypatch):
+        from repro.service import server
+
+        built = []
+
+        class Service:
+            def __init__(self, **kwargs):
+                built.append(kwargs["job_timeout"])
+
+            async def serve(self, **kwargs):
+                return None
+
+        monkeypatch.setattr(server, "ExperimentService", Service)
+        assert main(["serve", "--socket", str(tmp_path / "s.sock"),
+                     "--job-timeout", "2.5"]) == 0
+        assert built == [2.5]
+
 
 class TestProfileCli:
     def test_profile_table_and_folded_output(self, capsys, tmp_path):

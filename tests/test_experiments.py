@@ -103,7 +103,7 @@ class TestExperimentJobs:
     def test_invalid_value_warns_and_runs_serial(self, monkeypatch, capsys):
         from repro.experiments import common
 
-        monkeypatch.setattr(common, "_jobs_warning_emitted", False)
+        monkeypatch.setattr(common, "_warned_switches", set())
         monkeypatch.setenv("REPRO_JOBS", "banana")
         assert common.experiment_jobs() == 1
         err = capsys.readouterr().err
@@ -116,7 +116,7 @@ class TestExperimentJobs:
         an invalid value must not spam stderr with one warning each."""
         from repro.experiments import common
 
-        monkeypatch.setattr(common, "_jobs_warning_emitted", False)
+        monkeypatch.setattr(common, "_warned_switches", set())
         monkeypatch.setenv("REPRO_JOBS", "many")
         for _ in range(5):
             assert common.experiment_jobs() == 1

@@ -16,6 +16,7 @@ from repro.experiments import (
     calibrate_environment,
     measure_precise_cycles,
     run_benchmark,
+    run_benchmark_suite,
 )
 from repro.experiments import common
 from repro.observability import (
@@ -77,7 +78,7 @@ class TestTracer:
         """A full benchmark with tracing off must not emit anything."""
         workload, env = _matmul_env()
         before = TRACER.emitted
-        run_benchmark(workload, "swp", 8, "clank", TINY, env, jobs=1)
+        run_benchmark(workload, "swp", 8, "clank", TINY, env)
         assert TRACER.emitted == before
 
 
@@ -120,16 +121,31 @@ class TestMetrics:
         assert forward == backward
         assert forward.counters["samples"] == 6
 
-    def test_serial_and_parallel_rollups_identical(self):
+    def test_serial_and_parallel_rollups_identical(self, monkeypatch):
         """The REPRO_JOBS pool must not change the merged metrics."""
+        import concurrent.futures
+
+        pools = []
+
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
         workload, env = _matmul_env()
-        serial = run_benchmark(workload, "swp", 8, "clank", TINY, env, jobs=1)
-        parallel = run_benchmark(workload, "swp", 8, "clank", TINY, env, jobs=2)
-        assert serial.runs == parallel.runs
-        assert serial.merged_metrics() == parallel.merged_metrics()
-        counters = serial.merged_metrics().counters
-        assert counters["samples"] == len(serial.runs) == 2
-        assert counters["outages"] > 0
+        configs = [("swp", 8), ("swp", 4)]
+        serial = run_benchmark_suite(workload, configs, "clank", TINY, env)
+        assert not pools
+        monkeypatch.setenv("REPRO_JOBS", "2")
+        parallel = run_benchmark_suite(workload, configs, "clank", TINY, env)
+        assert len(pools) == 1
+        for one, other in zip(serial, parallel):
+            assert one.runs == other.runs
+            assert one.merged_metrics() == other.merged_metrics()
+            counters = one.merged_metrics().counters
+            assert counters["samples"] == len(one.runs) == 2
+            assert counters["outages"] > 0
 
 
 class TestTraceRoundTrip:
@@ -140,7 +156,7 @@ class TestTraceRoundTrip:
         TRACER.enable(str(path))
         workload, env = _matmul_env()
         results = [
-            run_benchmark(workload, mode, bits, "clank", TINY, env, jobs=1)
+            run_benchmark(workload, mode, bits, "clank", TINY, env)
             for mode, bits in (("precise", None), ("swp", 8), ("swp", 4))
         ]
         TRACER.disable()
@@ -186,9 +202,7 @@ class TestTraceRoundTrip:
         try:
             path = tmp_path / "fallback.jsonl"
             TRACER.enable(str(path))
-            result = run_benchmark(
-                workload, "swp", 8, "clank", TINY, env, jobs=1
-            )
+            result = run_benchmark(workload, "swp", 8, "clank", TINY, env)
             TRACER.disable()
         finally:
             common._worker_cache.clear()
@@ -231,7 +245,7 @@ class TestManifest:
         begin_manifest(command="test run")
         try:
             workload, env = _matmul_env()
-            run_benchmark(workload, "swp", 8, "clank", TINY, env, jobs=1)
+            run_benchmark(workload, "swp", 8, "clank", TINY, env)
             manifest = active_manifest()
             assert manifest is not None
             assert len(manifest.results) == 1
@@ -254,8 +268,8 @@ class TestManifest:
         rollup = tmp_path / "metrics.jsonl"
         monkeypatch.setenv("REPRO_METRICS", str(rollup))
         workload, env = _matmul_env()
-        run_benchmark(workload, "precise", None, "clank", TINY, env, jobs=1)
-        run_benchmark(workload, "swp", 8, "clank", TINY, env, jobs=1)
+        run_benchmark(workload, "precise", None, "clank", TINY, env)
+        run_benchmark(workload, "swp", 8, "clank", TINY, env)
         lines = [json.loads(l) for l in rollup.read_text().splitlines()]
         assert [l["mode"] for l in lines] == ["precise", "swp"]
         assert all(l["metrics"]["counters"]["samples"] == 2 for l in lines)

@@ -19,6 +19,7 @@ from repro.experiments import (
     calibrate_environment,
     measure_precise_cycles,
     run_benchmark,
+    run_benchmark_suite,
 )
 from repro.experiments import common
 from repro.observability import (
@@ -151,7 +152,7 @@ class TestLedgerExactness:
         """The replay engine books the same buckets as the interpreter."""
         workload, env = _matmul_env()
         interp = interp_runs(workload, [("swp", 8)], runtime, TINY, env)
-        replay = run_benchmark(workload, "swp", 8, runtime, TINY, env, jobs=1)
+        replay = run_benchmark(workload, "swp", 8, runtime, TINY, env)
         assert interp == replay.runs  # results identical first
         for a, b in zip(interp, replay.runs):
             assert a.ledger == b.ledger
@@ -159,22 +160,37 @@ class TestLedgerExactness:
 
     def test_serial_and_parallel_rollups_identical(self, monkeypatch):
         """REPRO_JOBS=4 workers must merge to the serial ledger rollup."""
+        import concurrent.futures
+
+        pools = []
+
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
         workload, env = _matmul_env()
-        serial = run_benchmark(workload, "swp", 8, "clank", TINY, env, jobs=1)
-        parallel = run_benchmark(workload, "swp", 8, "clank", TINY, env, jobs=4)
-        assert serial.runs == parallel.runs
-        assert serial.merged_ledger() == parallel.merged_ledger()
-        merged = serial.merged_ledger()
-        assert merged["total_cycles"] == sum(
-            r.active_cycles for r in serial.runs
-        )
+        configs = [("swp", 8), ("swp", 4)]
+        serial = run_benchmark_suite(workload, configs, "clank", TINY, env)
+        assert not pools
+        monkeypatch.setenv("REPRO_JOBS", "4")
+        parallel = run_benchmark_suite(workload, configs, "clank", TINY, env)
+        assert len(pools) == 1
+        for one, other in zip(serial, parallel):
+            assert one.runs == other.runs
+            assert one.merged_ledger() == other.merged_ledger()
+            merged = one.merged_ledger()
+            assert merged["total_cycles"] == sum(
+                r.active_cycles for r in one.runs
+            )
 
     def test_ledger_rollup_file(self, monkeypatch, tmp_path):
         """REPRO_LEDGER appends one JSONL rollup line per configuration."""
         path = tmp_path / "ledger.jsonl"
         monkeypatch.setenv("REPRO_LEDGER", str(path))
         workload, env = _matmul_env()
-        result = run_benchmark(workload, "swp", 8, "clank", TINY, env, jobs=1)
+        result = run_benchmark(workload, "swp", 8, "clank", TINY, env)
         lines = [json.loads(l) for l in path.read_text().splitlines()]
         assert len(lines) == 1
         entry = lines[0]
@@ -257,7 +273,7 @@ class TestProfiler:
         PROFILER.enable(str(path))
         try:
             workload, env = _matmul_env()
-            run_benchmark(workload, "swp", 8, "clank", TINY, env, jobs=1)
+            run_benchmark(workload, "swp", 8, "clank", TINY, env)
         finally:
             PROFILER.disable()
         lines = path.read_text().splitlines()
@@ -271,7 +287,7 @@ class TestProfiler:
         assert not PROFILER.enabled
         before = PROFILER.collections
         workload, env = _matmul_env()
-        run_benchmark(workload, "swp", 8, "clank", TINY, env, jobs=1)
+        run_benchmark(workload, "swp", 8, "clank", TINY, env)
         assert PROFILER.collections == before
 
 
@@ -281,7 +297,7 @@ class TestExperimentJobs:
         self, raw, monkeypatch, capsys
     ):
         monkeypatch.setenv("REPRO_JOBS", raw)
-        monkeypatch.setattr(common, "_jobs_warning_emitted", False)
+        monkeypatch.setattr(common, "_warned_switches", set())
         assert common.experiment_jobs() == 1
         assert common.experiment_jobs() == 1  # second call: no new warning
         err = capsys.readouterr().err

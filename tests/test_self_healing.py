@@ -21,7 +21,6 @@ import repro.experiments.common as common
 from repro.errors import IncompleteRun, SampleTimeout
 from repro.experiments.common import (
     ExperimentSetup,
-    _sample_run_to_dict,
     calibrate_environment,
     measure_precise_cycles,
     run_benchmark,
@@ -52,7 +51,7 @@ def reference(home):
 
 def full_dicts(results):
     """Every field of every sample, metrics and ledger included."""
-    return [[_sample_run_to_dict(run) for run in result.runs] for result in results]
+    return [[dataclasses.asdict(run) for run in result.runs] for result in results]
 
 
 #: The pool's unit of work is one configuration group; the stand-ins
@@ -192,7 +191,7 @@ class TestSampleTimeout:
 
     def test_invalid_value_warns_once_and_disables(self, monkeypatch, capfd):
         monkeypatch.setenv("REPRO_SAMPLE_TIMEOUT", "soon")
-        monkeypatch.setattr(common, "_timeout_warning_emitted", False)
+        monkeypatch.setattr(common, "_warned_switches", set())
         assert common.experiment_sample_timeout() is None
         assert common.experiment_sample_timeout() is None
         err = capfd.readouterr().err
@@ -210,7 +209,7 @@ class TestFaultsKnob:
 
     def test_invalid_seed_warns_once_and_disables(self, monkeypatch, capfd):
         monkeypatch.setenv("REPRO_FAULTS", "lots")
-        monkeypatch.setattr(common, "_faults_warning_emitted", False)
+        monkeypatch.setattr(common, "_warned_switches", set())
         assert common.experiment_faults() is None
         assert common.experiment_faults() is None
         assert capfd.readouterr().err.count("REPRO_FAULTS") == 1

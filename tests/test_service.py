@@ -11,6 +11,7 @@
 """
 
 import asyncio
+import dataclasses
 import json
 import threading
 
@@ -19,7 +20,6 @@ import pytest
 from repro.__main__ import main
 from repro.experiments.common import (
     ExperimentSetup,
-    _sample_run_to_dict,
     calibrate_environment,
     measure_precise_cycles,
     run_benchmark,
@@ -86,7 +86,7 @@ def direct_runs():
     workload = make_workload("Home", "tiny")
     environment = calibrate_environment(measure_precise_cycles(workload), setup)
     result = run_benchmark(workload, "swv", 8, "clank", setup, environment)
-    return [_sample_run_to_dict(run) for run in result.runs]
+    return [dataclasses.asdict(run) for run in result.runs]
 
 
 class TestSingleSubmission:

@@ -14,6 +14,7 @@
   replay and store passes reuse it, never re-record.
 """
 
+import dataclasses
 import json
 import threading
 
@@ -23,7 +24,6 @@ import repro.experiments.common as common
 import repro.store.cas as cas
 from repro.experiments.common import (
     ExperimentSetup,
-    _sample_run_to_dict,
     calibrate_environment,
     experiment_store,
     measure_precise_cycles,
@@ -49,7 +49,7 @@ def home():
 
 def full_dicts(results):
     """Every field of every sample, metrics and ledger included."""
-    return [[_sample_run_to_dict(run) for run in result.runs] for result in results]
+    return [[dataclasses.asdict(run) for run in result.runs] for result in results]
 
 
 def run_once(home):
@@ -166,6 +166,61 @@ class TestRobustness:
         healed = run_once(home)  # defect = miss: recompute + overwrite
         assert full_dicts([healed]) == full_dicts([pristine])
         assert json.loads(path.read_text())["runs"]  # entry is whole again
+
+    @pytest.mark.parametrize("runs", [[{"wall_ms": 1}], [1]])
+    def test_entry_with_foreign_runs_recomputes_and_heals(
+        self, home, tmp_path, monkeypatch, runs
+    ):
+        """An entry that passes load's structural checks but whose runs
+        are not SampleRun fields is a miss as well."""
+        root = tmp_path / "store"
+        monkeypatch.setenv("REPRO_STORE", str(root))
+        pristine = run_once(home)
+        path = self.entry_path(home, root)
+        entry = json.loads(path.read_text())
+        path.write_text(json.dumps({**entry, "runs": runs}))
+        healed = run_once(home)
+        assert full_dicts([healed]) == full_dicts([pristine])
+        assert json.loads(path.read_text()) == entry
+
+    def test_interrupted_serial_suite_keeps_finished_configs(
+        self, home, tmp_path, monkeypatch
+    ):
+        """A serial suite stores each configuration before it computes
+        the next, so a rerun after a failure executes only the rest."""
+        workload, environment = home
+        monkeypatch.setenv("REPRO_STORE", str(tmp_path / "store"))
+        monkeypatch.delenv("REPRO_JOBS", raising=False)
+        executed = []
+        real = common._run_config_group
+
+        def second_config_fails(specs):
+            executed.append((specs[0].mode, specs[0].bits))
+            if len(executed) == 2:
+                raise RuntimeError("interrupted")
+            return real(specs)
+
+        monkeypatch.setattr(common, "_run_config_group", second_config_fails)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            run_benchmark_suite(workload, CONFIGS, "clank", SETUP, environment)
+        store = experiment_store()
+        first, second = (
+            config_fingerprint("Home", "tiny", mode, bits, "clank", SETUP, environment)
+            for mode, bits in CONFIGS
+        )
+        assert store.load(first) is not None
+        assert store.load(second) is None
+
+        executed.clear()
+        monkeypatch.setattr(
+            common, "_run_config_group",
+            lambda specs: executed.append((specs[0].mode, specs[0].bits)) or real(specs),
+        )
+        resumed = run_benchmark_suite(workload, CONFIGS, "clank", SETUP, environment)
+        assert executed == [CONFIGS[1]]
+        monkeypatch.delenv("REPRO_STORE")
+        fresh = run_benchmark_suite(workload, CONFIGS, "clank", SETUP, environment)
+        assert full_dicts(resumed) == full_dicts(fresh)
 
     def test_concurrent_same_key_writers_never_corrupt(self, tmp_path):
         store = ResultStore(str(tmp_path / "store"))

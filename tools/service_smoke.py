@@ -23,6 +23,7 @@ Exits non-zero on any violation. Run from the repo root:
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import subprocess
@@ -44,7 +45,6 @@ def direct_grid():
     """The same slice, run directly on the replay engine (ground truth)."""
     from repro.experiments.common import (
         ExperimentSetup,
-        _sample_run_to_dict,
         calibrate_environment,
         measure_precise_cycles,
         run_benchmark,
@@ -59,7 +59,7 @@ def direct_grid():
         result = run_benchmark(
             workload, config["mode"], config["bits"], "clank", setup, environment
         )
-        runs.append([_sample_run_to_dict(r) for r in result.runs])
+        runs.append([dataclasses.asdict(r) for r in result.runs])
     return runs
 
 
