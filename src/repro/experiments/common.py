@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
 import statistics
 import sys
@@ -255,14 +256,17 @@ _warned_switches = set()
 def _read_switch(name: str, cast, want: str, fallback: str,
                  positive: bool = True):
     """``cast`` of the stripped environment variable ``name``, or
-    ``None`` when it is unset or invalid: unparseable, or ``<= 0`` when
-    ``positive``. An invalid value degrades to "switch off" with one
-    stderr warning per switch per process, never a crash."""
+    ``None`` when it is unset or invalid: unparseable, a non-finite
+    float, or ``<= 0`` when ``positive``. An invalid value degrades to
+    "switch off" with one stderr warning per switch per process, never
+    a crash."""
     raw = os.environ.get(name, "").strip()
     if not raw:
         return None
     try:
         value = cast(raw)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(raw)
         if positive and value <= 0:
             raise ValueError(raw)
         return value
@@ -378,12 +382,12 @@ class SampleSpec:
 #: mixed-open reuses 9 default-scale records (MatMul, MLP and Home x
 #: precise/8-bit/4-bit), 6.9 MiB with their keyframe deltas and
 #: materialization state, plus 0.6 MiB of kernels and 56 trace sets
-#: of 3 x 3000 ms (7.7 MiB with their energy arrays): 15.2 MiB in all.
-#: grid-cli's 12 records take 14.8 MiB (Conv2d swp-4 alone 4.7 MiB)
-#: and its kernels and trace sets 1.2 MiB: 16.5 MiB. 64 MiB holds
-#: either with room to spare, while a long run no longer keeps every
-#: record and trace set it ever built (cold-configs' 61 configurations
-#: held 574 MiB in one process without a bound).
+#: of 3 x 3000 ms (3.9 MiB): 11.3 MiB in all. grid-cli's 12 records
+#: take 14.9 MiB (Conv2d swp-4 alone 4.7 MiB) and its kernels and
+#: trace sets 1.0 MiB: 15.9 MiB. 64 MiB holds either with room to
+#: spare, while a long run no longer keeps every record and trace set
+#: it ever built (cold-configs' 61 configurations held 574 MiB in one
+#: process without a bound).
 CACHE_BUDGET_BYTES = 64 << 20
 
 #: Retained bytes of a compiled kernel per program instruction, with the
@@ -795,10 +799,9 @@ def _run_config_group(specs: List[SampleSpec]) -> List[SampleRun]:
             kernel, record, workload.inputs,
             [_run_args(spec, trace, energy) for spec, trace in zip(group, traces)],
         )
-        # The walk grew the record's keyframe deltas and materialization
-        # state, and gave its traces their energy arrays.
+        # The walk grew the record's keyframe deltas, materialization
+        # state and WAR index.
         _worker_cache.reaccount(_kernel_key(first))
-        _worker_cache.reaccount(_trace_key(first))
         results = []
         for spec, trace, run in zip(group, traces, runs):
             fallback = run is None

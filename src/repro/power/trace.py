@@ -27,10 +27,6 @@ class PowerTrace:
     def __init__(self, samples_w: Sequence[float], name: str = "trace"):
         self.samples = array("d", [max(0.0, float(s)) for s in samples_w])
         self.name = name
-        #: Per-millisecond harvest energies as a float64 numpy array, set
-        #: by the replay engine on first use
-        #: (:func:`repro.sim.batch_replay.trace_energy_array`).
-        self.energies = None
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -54,11 +50,8 @@ class PowerTrace:
         return self.power_at(tick) * (self.SAMPLE_MS / 1000.0)
 
     def nbytes(self) -> int:
-        """Bytes held by the sample array and, once built, the energies."""
-        size = len(self.samples) * self.samples.itemsize
-        if self.energies is not None:
-            size += self.energies.nbytes
-        return size
+        """Bytes held by the sample array."""
+        return len(self.samples) * self.samples.itemsize
 
     @property
     def duration_ms(self) -> float:

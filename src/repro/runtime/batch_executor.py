@@ -23,14 +23,14 @@ statement of its replay semantics: the walk here never looks inside a
 chunk, so a new runtime needs a live runtime, a replay policy and a row
 in :mod:`repro.runtime.table`, and nothing else. Lanes share only the
 record's memoized answers — WAR horizons (answered in one shot by
-:class:`~repro.sim.batch_replay.BatchIndex` when numpy is available),
-output-store positions and keyframe images — which are
-order-independent, so lanes walk one after another (and then finish
-in order), and a one-lane group is exactly per-sample replay. The
-off-phase charge loop is fast-forwarded by
-:func:`~repro.sim.batch_replay.charge_until_on_fast`.
+:class:`~repro.sim.batch_replay.BatchIndex`), output-store positions
+and keyframe images — which are order-independent, so lanes walk one
+after another (and then finish in order), and a one-lane group is
+exactly per-sample replay. The off-phase charge loop is the supply's
+own :meth:`~repro.power.supply.PowerSupply.charge_until_on`, as in the
+interpreter.
 
-Those memos, the scalar WAR scans and the materialized CPU are mutable
+Those memos, the WAR index and the materialized CPU are mutable
 state on the record, and threads of one process share records (the
 service's pool runs jobs of one configuration side by side), so a
 group holds the record's lock from its first walk to its last finish:
@@ -62,11 +62,6 @@ from ..errors import ProgressStall
 from ..observability.ledger import ProgressLedger
 from ..observability.tracer import TRACER
 from ..power.supply import PowerSupply
-from ..sim.batch_replay import (
-    build_batch_index,
-    charge_until_on_fast,
-    trace_energy_array,
-)
 from ..sim.replay import ReplayDiverged, ReplayRecord
 from .base import ReplayPolicy
 from .checkpoint import Checkpoint
@@ -108,7 +103,6 @@ def _walk(
     policy: ReplayPolicy,
     skim: SkimRegister,
     ledger: ProgressLedger,
-    energies,
     max_wall_ms: int,
     traced: bool,
     timed: bool,
@@ -133,7 +127,6 @@ def _walk(
     last_restore_signature = None
     jit_snapshot = getattr(policy, "on_low_voltage", None)
     interval = policy.watchdog_cycles
-    fast_charge = energies is not None and len(energies) > 0
 
     while not policy.halted:
         if supply.tick - start_tick > max_wall_ms:
@@ -142,10 +135,7 @@ def _walk(
             check_sample_deadline(supply.tick)
 
         if not supply.on:
-            if fast_charge:
-                charge_until_on_fast(supply, energies)
-            else:
-                supply.charge_until_on()
+            supply.charge_until_on()
             armed_before = skim.armed
             pending_overhead = policy.on_restore()
             pending_kind = "restore"
@@ -374,9 +364,6 @@ def run_batch_group(
                 )
         return [None] * len(lane_args)
     with record.lock:
-        if lane_args and record.batch is None:
-            index = build_batch_index(record)
-            record.batch = index if index is not None else False
         timed = sample_deadline_armed()
         walked = []
         for args, row in zip(lane_args, rows):
@@ -389,8 +376,7 @@ def run_batch_group(
             ledger = ProgressLedger()
             try:
                 skim_cut, timed_out = _walk(
-                    supply, policy, skim, ledger,
-                    trace_energy_array(args["trace"]), args["max_wall_ms"],
+                    supply, policy, skim, ledger, args["max_wall_ms"],
                     traced, timed,
                 )
             except _DEMOTE as exc:

@@ -199,7 +199,8 @@ class ClankReplayPolicy(ReplayPolicy):
                 # nothing further fits this chunk.
                 break
             # Every instruction costs at least one cycle, so this chunk
-            # cannot advance past ``limit``; the WAR scan stops there.
+            # cannot advance past ``limit``; the WAR horizon is clamped
+            # there.
             limit = cursor + remaining + 1
             if limit > n:
                 limit = n

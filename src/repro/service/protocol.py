@@ -46,6 +46,11 @@ def default_socket_path() -> str:
     return os.path.join(tempfile.gettempdir(), DEFAULT_SOCKET_NAME)
 
 
+def _is_int(value) -> bool:
+    """True for an ``int`` that is not a ``bool``."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class JobSpec:
     """One experiment-configuration job, as submitted by a client.
@@ -67,7 +72,11 @@ class JobSpec:
     trace_seed: int = 100
 
     def validate(self) -> None:
-        """Raise ``ValueError`` for anything the harness would reject."""
+        """Raise ``ValueError`` for anything the harness would reject.
+
+        Counts, durations, seeds and a non-precise ``bits`` must be
+        integers: JSON's ``2.5``, ``"2"`` and ``true`` are not (``True
+        == 1`` in Python, so a bool would otherwise pass as 1)."""
         from ..runtime.table import runtime_row
         from ..workloads import ALL_BENCHMARKS
 
@@ -77,13 +86,21 @@ class JobSpec:
             )
         if self.mode not in ("precise", "swp", "swv"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode != "precise" and self.bits not in (1, 2, 3, 4, 8):
+        if self.mode != "precise" and (
+            not _is_int(self.bits) or self.bits not in (1, 2, 3, 4, 8)
+        ):
             raise ValueError(f"invalid bits {self.bits!r} for mode {self.mode!r}")
         runtime_row(self.runtime)
         if self.scale not in ("tiny", "default", "paper"):
             raise ValueError(f"unknown scale {self.scale!r}")
-        if self.trace_count < 1 or self.invocations < 1:
-            raise ValueError("trace_count and invocations must be >= 1")
+        for name in ("trace_count", "invocations", "trace_duration_ms", "trace_seed"):
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
+        if self.trace_count < 1 or self.invocations < 1 or self.trace_duration_ms < 1:
+            raise ValueError(
+                "trace_count, invocations and trace_duration_ms must be >= 1"
+            )
 
     def setup(self):
         """The :class:`~repro.experiments.common.ExperimentSetup` this

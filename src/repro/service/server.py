@@ -231,7 +231,7 @@ class ExperimentService:
         loop = asyncio.get_running_loop()
         try:
             ctx = await loop.run_in_executor(self.pool, prepare, spec)
-        except ValueError as exc:
+        except (ValueError, TypeError) as exc:
             self.counters["errors"] += 1
             await emit({"event": "error", "error": str(exc)})
             return

@@ -61,6 +61,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..isa.instructions import LOAD_OPS, STORE_OPS, mem_width
 from . import native
+from .batch_replay import BatchIndex
 from .cpu import CPU
 from .decode import decode_program
 from .memory import _zero_block
@@ -168,7 +169,6 @@ class ReplayRecord:
         "lock",
         "_progress_memo",
         "_war_memo",
-        "_war_scans",
         "_mat_cache",
         "_mat_bytes",
         "_pages",
@@ -198,22 +198,18 @@ class ReplayRecord:
         #: Which recorder produced the log: "native", or "python:<cause>"
         #: with the reason the native core did not (see record_run).
         self.recorder = "python"
-        #: Held by the replay engine across one group's walk: the
-        #: memoized scans and the materialization cache below are
+        #: Held by the replay engine across one group's walk: the WAR
+        #: index, the memos and the materialization cache below are
         #: shared mutable state, so concurrent jobs on one record take
         #: turns (repro.runtime.batch_executor.run_batch_group).
         self.lock = threading.Lock()
-        #: Optional vectorized index (repro.sim.batch_replay.BatchIndex)
-        #: attached by the replay engine; None (or the False sentinel
-        #: when numpy is unavailable) falls back to the scalar scans.
-        self.batch = None
+        #: The WAR index (repro.sim.batch_replay.BatchIndex), built by
+        #: the first next_war_before query.
+        self.batch: Optional[BatchIndex] = None
         #: Output-store positions per output-range tuple, memoized for
         #: the progress policy (repro.runtime.progress).
         self._progress_memo: Dict[tuple, List[int]] = {}
         self._war_memo: Dict[int, int] = {}
-        #: In-flight WAR scans: start -> [next access index, read_first,
-        #: written].
-        self._war_scans: Dict[int, list] = {}
         self._mat_cache: Optional[tuple] = None
         #: Bytes of the materialization state: the cached CPU's
         #: handlers, the sparse initial image and every keyframe delta
@@ -236,7 +232,7 @@ class ReplayRecord:
         safe while another thread walks the record."""
         size = sum(sys.getsizeof(getattr(self, name)) for name in _COLUMNS)
         size += len(self._pages) * _PAGE_BYTES
-        if self.batch:
+        if self.batch is not None:
             size += self.batch.nbytes()
         return size + self._mat_bytes
 
@@ -269,74 +265,20 @@ class ReplayRecord:
     def next_war_before(self, start: int, limit: int) -> int:
         """First WAR store position in [start, limit), else ``limit``.
 
-        Simulates Clank's read-first/written byte tracking from empty
-        sets at ``start`` (a checkpoint or restore point) over the
-        recorded accesses: the first store that hits a read-first byte
-        is where Clank checkpoints *before* the store commits. The
-        replay policies bound ``limit`` by how far the current budget
-        can possibly reach, so unexplored stream tails cost nothing.
-        The scan state per ``start`` persists across calls (and the
-        final verdict, ``length`` if the stream halts first, is
-        memoized), making repeated queries with a growing horizon
-        amortized O(1) per access."""
+        Clank's read-first/written byte tracking from empty sets at
+        ``start`` (a checkpoint or restore point) over the recorded
+        accesses: the first store that hits a read-first byte is where
+        Clank checkpoints *before* the store commits. The record's
+        :class:`~repro.sim.batch_replay.BatchIndex`, built on the first
+        query, answers the unbounded question once per ``start`` (the
+        stream ``length`` if it halts first); the verdict is memoized,
+        so every later call from any lane of any group is a lookup."""
         final = self._war_memo.get(start)
-        if final is not None:
-            return final if final < limit else limit
-        batch = self.batch
-        if batch:
-            # The vectorized index answers the *unbounded* query in one
-            # shot; memoize the verdict so every later call (from any
-            # lane of any group) takes the O(1) branch above. The
-            # verdicts are identical ints to what the incremental scan
-            # would eventually converge on.
-            final = batch.war_from(start)
-            self._war_memo[start] = final
-            self._war_scans.pop(start, None)
-            return final if final < limit else limit
-        if limit > self.length:
-            limit = self.length
-        if limit <= start:
-            return limit
-        state = self._war_scans.get(start)
-        if state is None:
-            state = self._war_scans[start] = [
-                bisect_left(self.acc_pos, start), set(), set()
-            ]
-        index, read_first, written = state
-        positions = self.acc_pos
-        addrs = self.acc_addr
-        pcs = self.pcs
-        kinds = self.pc_kind
-        sizes = self.pc_size
-        count = len(positions)
-        while index < count:
-            pos = positions[index]
-            if pos >= limit:
-                break
-            pc = pcs[pos]
-            addr = addrs[index]
-            size = sizes[pc]
-            if kinds[pc] == _LOAD:
-                for byte in range(addr, addr + size):
-                    if byte not in written:
-                        read_first.add(byte)
-            else:
-                hit = False
-                for byte in range(addr, addr + size):
-                    if byte in read_first:
-                        hit = True
-                        break
-                if hit:
-                    self._war_memo[start] = pos
-                    del self._war_scans[start]
-                    return pos
-                written.update(range(addr, addr + size))
-            index += 1
-        state[0] = index
-        if index == count:
-            self._war_memo[start] = self.length
-            del self._war_scans[start]
-        return limit
+        if final is None:
+            if self.batch is None:
+                self.batch = BatchIndex(self)
+            final = self._war_memo[start] = self.batch.war_from(start)
+        return final if final < limit else limit
 
     def segment_idempotent(self, start: int, end: int) -> bool:
         """True if re-executing [start, end) re-reads only original values.

@@ -7,9 +7,9 @@ fields (the repo's differential bar), metrics
 and ledger buckets *exactly* (both engines classify useful/reexec/
 overhead identically, skim handoffs included), trace events, sample
 deadlines and fault-injected grids; results are byte-identical between
-serial and ``REPRO_JOBS`` runs, and identical with and without numpy.
-The vector kernels (WAR oracle, charge fast-forward) are additionally
-checked one-to-one against the scalar code they replace.
+serial and ``REPRO_JOBS`` runs. The vectorized WAR index is
+additionally checked one-to-one against the scalar scan
+(``tests/golden.py``).
 """
 
 import pytest
@@ -25,22 +25,11 @@ from repro.experiments.common import (
 )
 from repro.power.capacitor import Capacitor
 from repro.power.energy import EnergyModel
-from repro.power.supply import PowerSupply, SupplyExhausted
-from repro.power.trace import PowerTrace
-from repro.sim.batch_replay import (
-    build_batch_index,
-    charge_until_on_fast,
-    numpy_or_none,
-    trace_energy_array,
-)
 from repro.runtime.table import RUNTIME_NAMES
+from repro.sim.batch_replay import BatchIndex
 from repro.sim.replay import record_run
 from repro.workloads import make_workload
-from tests.golden import interp_runs
-
-needs_numpy = pytest.mark.skipif(
-    numpy_or_none() is None, reason="numpy not available"
-)
+from tests.golden import interp_runs, war_scan
 
 
 def _setup():
@@ -52,8 +41,7 @@ def _environment(workload, setup):
 
 
 def _serial_env(monkeypatch):
-    for key in ("REPRO_JOBS", "REPRO_BATCH_NUMPY"):
-        monkeypatch.delenv(key, raising=False)
+    monkeypatch.delenv("REPRO_JOBS", raising=False)
 
 
 def _grid_runs(workload, configs, runtime, setup, environment, reference):
@@ -154,25 +142,6 @@ class TestGridDifferential:
         assert all(
             run.metrics["counters"].get("engine.replay") == 1 for run in replay
         )
-
-    def test_batch_numpy_fallback_identical(self, monkeypatch):
-        """REPRO_BATCH_NUMPY=0 (the no-numpy code path) changes nothing
-        observable, rollups included."""
-        _serial_env(monkeypatch)
-        setup = _setup()
-        workload = make_workload("MatMul", setup.scale)
-        environment = _environment(workload, setup)
-        reference = workload.decoded_reference()
-        configs = [(workload.technique, 8), (workload.technique, 4)]
-
-        _worker_cache.clear()
-        vectored = _grid_runs(workload, configs, "clank", setup, environment, reference)
-        monkeypatch.setenv("REPRO_BATCH_NUMPY", "0")
-        _worker_cache.clear()
-        scalar = _grid_runs(workload, configs, "clank", setup, environment, reference)
-
-        assert scalar == vectored
-        assert _rollups(scalar) == _rollups(vectored)
 
     def test_batch_serial_equals_parallel_jobs(self, monkeypatch):
         """REPRO_JOBS shards by config; results must be byte-identical
@@ -376,61 +345,19 @@ class TestConcurrentGroups:
 
 
 class TestVectorKernels:
-    @needs_numpy
     def test_war_oracle_matches_scalar_scan(self):
         workload = make_workload("MatMul", "tiny")
         kernel = build_anytime(workload, workload.technique, 8)
         record = record_run(kernel, workload.inputs)
         assert record.replayable
-        index = build_batch_index(record)
-        scalar = record_run(kernel, workload.inputs)  # memo-free twin
+        index = BatchIndex(record)
         starts = sorted(
-            set(range(0, record.length + 1, 37))
-            | set(scalar.store_pos[:50])
+            set(range(0, record.length + 1, 37)) | set(record.store_pos[:50])
         )
         for start in starts:
-            assert index.war_from(start) == scalar.next_war_before(
-                start, scalar.length
-            ), f"WAR divergence at start={start}"
-
-    @needs_numpy
-    def test_charge_fast_forward_matches_scalar(self):
-        from repro.experiments.common import paper_traces
-
-        for trace in paper_traces(count=4, duration_ms=200, base_seed=11):
-            energies = trace_energy_array(trace)
-            for start_tick in (0, 57, 313):
-                fast = PowerSupply(
-                    trace, Capacitor(), EnergyModel(), start_tick=start_tick
-                )
-                slow = PowerSupply(
-                    trace, Capacitor(), EnergyModel(), start_tick=start_tick
-                )
-                for _ in range(3):
-                    fast.capacitor.energy *= 0.01
-                    slow.capacitor.energy *= 0.01
-                    waited_fast = charge_until_on_fast(fast, energies)
-                    waited_slow = slow.charge_until_on()
-                    assert waited_fast == waited_slow
-                    assert fast.tick == slow.tick
-                    assert fast.total_off_ms == slow.total_off_ms
-                    assert fast.capacitor.energy == slow.capacitor.energy
-                    fast.on = slow.on = False
-
-    @needs_numpy
-    def test_charge_fast_forward_dead_trace_raises(self):
-        trace = PowerTrace([0.0] * 64, name="dead")
-        energies = trace_energy_array(trace)
-        supply = PowerSupply(
-            trace, Capacitor(v_initial=1.0), EnergyModel()
-        )
-        with pytest.raises(SupplyExhausted):
-            charge_until_on_fast(supply, energies, max_ms=500)
-        # Same boundary as the scalar loop, including for a budget
-        # shorter than the scalar head.
-        supply = PowerSupply(trace, Capacitor(v_initial=1.0), EnergyModel())
-        with pytest.raises(SupplyExhausted):
-            charge_until_on_fast(supply, energies, max_ms=3)
+            assert index.war_from(start) == war_scan(record, start), (
+                f"WAR divergence at start={start}"
+            )
 
 
 class TestChaosSmoke:

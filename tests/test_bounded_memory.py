@@ -247,7 +247,7 @@ class TestWorkerCache:
         the accounted bytes never pass the budget and the trace sets
         stop growing once the budget is full."""
         monkeypatch.delenv("REPRO_FAULTS", raising=False)
-        budget = 4 << 20
+        budget = 2 << 20
         monkeypatch.setattr(common, "CACHE_BUDGET_BYTES", budget)
         counts = []
         set_bytes = None

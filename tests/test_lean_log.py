@@ -12,7 +12,8 @@ feeds:
   non-replayable, with its reason, and its samples equal the
   interpreter's;
 * the vectorized WAR index, which drops accesses to bytes no store
-  writes, equals the scalar scan at every start position;
+  writes, equals the scalar scan (``tests/golden.py``) at every start
+  position, and so does the record's memoized, clamped WAR query;
 * the initial image keeps exactly its nonzero pages;
 * calibration read off the precise build's log equals
   ``AnytimeKernel.run`` on every precise build;
@@ -37,7 +38,7 @@ from repro.experiments.common import (
     run_benchmark_suite,
 )
 from repro.sim import replay
-from repro.sim.batch_replay import build_batch_index, numpy_or_none
+from repro.sim.batch_replay import BatchIndex
 from repro.sim.memory import Region
 from repro.sim.replay import (
     _SCAN_BLOCK,
@@ -48,17 +49,13 @@ from repro.sim.replay import (
     record_run_python,
 )
 from repro.workloads import ALL_BENCHMARKS, make_workload
-from tests.golden import interp_runs
+from tests.golden import interp_runs, war_scan
 from tests.test_native_record import VALID_BITS, _program_kernel
-
-needs_numpy = pytest.mark.skipif(
-    numpy_or_none() is None, reason="numpy not available"
-)
 
 
 @pytest.fixture(autouse=True)
 def _fresh_cache(monkeypatch):
-    for key in ("REPRO_JOBS", "REPRO_FAULTS", "REPRO_BATCH_NUMPY"):
+    for key in ("REPRO_JOBS", "REPRO_FAULTS"):
         monkeypatch.delenv(key, raising=False)
     _worker_cache.clear()
     yield
@@ -170,13 +167,15 @@ _STRADDLING = """
 class TestFilteredBatchIndex:
     def _assert_every_start(self, record):
         assert record.replayable
-        index = build_batch_index(record)
+        index = BatchIndex(record)
         for start in range(record.length + 1):
-            assert index.war_from(start) == record.next_war_before(
-                start, record.length
-            ), f"WAR divergence at start={start}"
+            expected = war_scan(record, start)
+            assert index.war_from(start) == expected, (
+                f"WAR divergence at start={start}"
+            )
+            limit = start + 5
+            assert record.next_war_before(start, limit) == min(expected, limit)
 
-    @needs_numpy
     @pytest.mark.parametrize("name,mode,bits", [("MatMul", "swp", 4),
                                                 ("Home", "swv", 4)])
     def test_equals_scalar_scan_at_every_start(self, name, mode, bits):
@@ -184,11 +183,10 @@ class TestFilteredBatchIndex:
         kernel = build_anytime(workload, mode, bits)
         self._assert_every_start(record_run(kernel, workload.inputs))
 
-    @needs_numpy
     def test_straddling_program(self):
         record = record_run(_program_kernel(_STRADDLING), {}, keyframe_interval=1)
         self._assert_every_start(record)
-        wars = {record.next_war_before(s, record.length) for s in range(record.length)}
+        wars = {war_scan(record, s) for s in range(record.length)}
         assert wars - {record.length}, "the program must trigger WARs"
 
 

@@ -44,8 +44,7 @@ CLASSIFIERS = ("FC", "MLP", "CNN")
 
 
 def _serial_env(monkeypatch):
-    for key in ("REPRO_JOBS", "REPRO_BATCH_NUMPY"):
-        monkeypatch.delenv(key, raising=False)
+    monkeypatch.delenv("REPRO_JOBS", raising=False)
 
 
 def _asp_array(kernel):

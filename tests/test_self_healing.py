@@ -190,12 +190,13 @@ class TestSampleTimeout:
         assert executor._SAMPLE_DEADLINE is None
 
     def test_invalid_value_warns_once_and_disables(self, monkeypatch, capfd):
-        monkeypatch.setenv("REPRO_SAMPLE_TIMEOUT", "soon")
-        monkeypatch.setattr(common, "_warned_switches", set())
-        assert common.experiment_sample_timeout() is None
-        assert common.experiment_sample_timeout() is None
-        err = capfd.readouterr().err
-        assert err.count("REPRO_SAMPLE_TIMEOUT") == 1
+        for value in ("soon", "nan", "inf"):
+            monkeypatch.setenv("REPRO_SAMPLE_TIMEOUT", value)
+            monkeypatch.setattr(common, "_warned_switches", set())
+            assert common.experiment_sample_timeout() is None, value
+            assert common.experiment_sample_timeout() is None, value
+            err = capfd.readouterr().err
+            assert err.count("REPRO_SAMPLE_TIMEOUT") == 1, value
 
 
 class TestFaultsKnob:

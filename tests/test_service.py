@@ -143,11 +143,17 @@ class TestPrepare:
             (job(workload="MatAdd", mode="swv", bits=2), "invalid bits"),
             (job(workload="MatMul", mode="swv", bits=8), "swp kernel"),
             (job(workload="MatAdd", mode="swp", bits=8), "swv kernel"),
+            ({**job(), "trace_count": "2"}, "trace_count must be an integer"),
+            ({**job(), "trace_count": 2.5}, "trace_count must be an integer"),
+            ({**job(), "trace_duration_ms": 0}, "must be >= 1"),
+            (job(workload="MatMul", mode="swp", bits=True), "invalid bits"),
         ],
     )
     def test_unrunnable_job_rejected_before_journal_accept(
-        self, tmp_path, spec, message
+        self, tmp_path, monkeypatch, spec, message
     ):
+        # A job that never gets its terminal event fails, not hangs.
+        monkeypatch.setenv("REPRO_CLIENT_TIMEOUT", "20")
         path = str(tmp_path / "journal.jsonl")
         events = []
         with running_service(tmp_path, journal=path) as svc, svc.client() as client:
