@@ -15,6 +15,8 @@ import io
 from array import array
 from typing import Iterable, List, Sequence
 
+import numpy as np
+
 
 class PowerTrace:
     """A harvested-power trace: one sample (in watts) per millisecond.
@@ -25,7 +27,19 @@ class PowerTrace:
     SAMPLE_MS = 1.0
 
     def __init__(self, samples_w: Sequence[float], name: str = "trace"):
-        self.samples = array("d", [max(0.0, float(s)) for s in samples_w])
+        """Hold ``samples_w`` clamped at zero: NaN, -0.0 and negatives
+        become 0.0. A float64 buffer (an ``array('d')`` or ``ndarray``)
+        is read as is; any other iterable goes through ``float()`` per
+        element, so ints and numeric strings convert and bad values
+        raise."""
+        if isinstance(samples_w, np.ndarray) and samples_w.dtype == np.float64:
+            values = samples_w
+        elif isinstance(samples_w, array) and samples_w.typecode == "d":
+            values = np.frombuffer(samples_w, np.float64)
+        else:
+            values = np.fromiter(map(float, samples_w), np.float64)
+        # ``v > 0.0`` is false for NaN and -0.0: max(0.0, v) per double.
+        self.samples = array("d", np.where(values > 0.0, values, 0.0).tobytes())
         self.name = name
 
     def __len__(self) -> int:

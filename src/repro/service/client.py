@@ -48,20 +48,25 @@ __all__ = [
 ]
 
 #: Environment variable setting the default socket read deadline
-#: (seconds, float). Unset/invalid/non-positive = no deadline.
+#: (seconds, float). Unset, invalid, non-positive or above
+#: :data:`MAX_READ_TIMEOUT_S` (``inf`` included) = no deadline.
 CLIENT_TIMEOUT_ENV = "REPRO_CLIENT_TIMEOUT"
 
+#: Longest read deadline in seconds. ``socket.settimeout`` raises
+#: ``OverflowError`` on longer ones (1e10 s, ``inf``), which would
+#: crash the client instead of leaving it without a deadline.
+MAX_READ_TIMEOUT_S = 1e9
 
-def _env_read_timeout() -> Optional[float]:
-    """The read deadline from ``REPRO_CLIENT_TIMEOUT`` (``None`` = off)."""
-    raw = os.environ.get(CLIENT_TIMEOUT_ENV, "").strip()
-    if not raw:
-        return None
+
+def _read_deadline(value: object) -> Optional[float]:
+    """``value`` (a number or the variable's text) as a read deadline
+    in seconds, or ``None`` (no deadline) unless it is a positive number
+    up to :data:`MAX_READ_TIMEOUT_S`."""
     try:
-        value = float(raw)
-    except ValueError:
+        seconds = float(value)
+    except (TypeError, ValueError):
         return None
-    return value if value > 0 else None
+    return seconds if 0 < seconds <= MAX_READ_TIMEOUT_S else None
 
 
 class ServiceClient:
@@ -82,8 +87,9 @@ class ServiceClient:
         ``read_timeout`` defaults to ``REPRO_CLIENT_TIMEOUT``. A raw
         socket has no redial coordinates, so automatic reconnect is
         only available on clients built via :meth:`connect`."""
-        self.read_timeout = (
-            _env_read_timeout() if read_timeout is None else read_timeout
+        self.read_timeout = _read_deadline(
+            os.environ.get(CLIENT_TIMEOUT_ENV)
+            if read_timeout is None else read_timeout
         )
         self.retries = self.DEFAULT_RETRIES
         self.backoff = self.DEFAULT_BACKOFF

@@ -46,6 +46,16 @@ def default_socket_path() -> str:
     return os.path.join(tempfile.gettempdir(), DEFAULT_SOCKET_NAME)
 
 
+#: Most samples (``trace_count * invocations``) one job may run.
+#: ``JobSpec``'s defaults ask for 27.
+MAX_JOB_SAMPLES = 1000
+
+#: Most trace milliseconds (``trace_count * trace_duration_ms``) one
+#: job may synthesize: 8 MB of samples. ``JobSpec``'s defaults ask for
+#: 27 000.
+MAX_JOB_TRACE_MS = 10**6
+
+
 def _is_int(value) -> bool:
     """True for an ``int`` that is not a ``bool``."""
     return isinstance(value, int) and not isinstance(value, bool)
@@ -72,7 +82,9 @@ class JobSpec:
     trace_seed: int = 100
 
     def validate(self) -> None:
-        """Raise ``ValueError`` for anything the harness would reject.
+        """Raise ``ValueError`` for anything the harness would reject,
+        and for a job above :data:`MAX_JOB_SAMPLES` samples or
+        :data:`MAX_JOB_TRACE_MS` trace milliseconds.
 
         Counts, durations, seeds and a non-precise ``bits`` must be
         integers: JSON's ``2.5``, ``"2"`` and ``true`` are not (``True
@@ -100,6 +112,20 @@ class JobSpec:
         if self.trace_count < 1 or self.invocations < 1 or self.trace_duration_ms < 1:
             raise ValueError(
                 "trace_count, invocations and trace_duration_ms must be >= 1"
+            )
+        # The accept is journaled before compute, so a job too large to
+        # run would be replayed by every boot after the one it killed.
+        samples = self.trace_count * self.invocations
+        if samples > MAX_JOB_SAMPLES:
+            raise ValueError(
+                f"trace_count * invocations is {samples} samples, "
+                f"above the limit of {MAX_JOB_SAMPLES}"
+            )
+        trace_ms = self.trace_count * self.trace_duration_ms
+        if trace_ms > MAX_JOB_TRACE_MS:
+            raise ValueError(
+                f"trace_count * trace_duration_ms is {trace_ms} ms, "
+                f"above the limit of {MAX_JOB_TRACE_MS}"
             )
 
     def setup(self):

@@ -1,9 +1,15 @@
 """Unit tests for power traces and the harvester synthesizer."""
 
+import math
+import random
+from array import array
+
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.power import (
+    DEFAULT_MEAN_POWER_W,
     PowerTrace,
     concat,
     constant_trace,
@@ -12,6 +18,13 @@ from repro.power import (
     square_trace,
     wifi_trace,
 )
+from repro.power.harvester import _DOUBLES_PER_DRAW, _doubles
+from tests.golden import scalar_clamp, scalar_wifi_trace
+
+#: Doubles for the clamp: NaN, both zeros, both infinities, negatives
+#: and tiny magnitudes of both signs. One container adds ints and
+#: numeric strings.
+CLAMP_VALUES = [math.nan, 0.0, -0.0, math.inf, -math.inf, -1.5, 2.0, 1e-300, -1e-300]
 
 
 class TestPowerTrace:
@@ -70,6 +83,32 @@ class TestPowerTrace:
         trace = PowerTrace(samples)
         restored = PowerTrace.from_csv(trace.to_csv())
         assert restored.samples.tolist() == pytest.approx(trace.samples.tolist())
+
+    @pytest.mark.parametrize("container", [
+        list, lambda v: array("d", v), np.array, lambda v: np.array(v, np.float32),
+        lambda v: iter(v), lambda v: v + [-3, 4, "2.5", " -1e3 "],
+    ])
+    def test_clamp_matches_the_scalar_clamp(self, container):
+        samples_w = container(list(CLAMP_VALUES))
+        want = scalar_clamp(container(list(CLAMP_VALUES)))
+        trace = PowerTrace(samples_w)
+        assert trace.samples.typecode == "d"
+        assert trace.samples.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("bad, error", [
+        (["1.0", "watts"], ValueError), ([1.0, None], TypeError), ([[1.0]], TypeError),
+    ])
+    def test_clamp_rejects_what_float_rejects(self, bad, error):
+        with pytest.raises(error):
+            scalar_clamp(bad)
+        with pytest.raises(error):
+            PowerTrace(bad)
+
+    def test_float64_buffer_is_copied(self):
+        values = np.array([1.0, -2.0])
+        trace = PowerTrace(values)
+        values[0] = 5.0
+        assert trace.samples.tolist() == [1.0, 0.0]
 
 
 class TestGenerators:
@@ -134,6 +173,71 @@ class TestWifiSynthesis:
             alone = paper_trace(index, count, **kwargs)
             assert alone.name == traces[index].name
             assert alone.samples == traces[index].samples
+
+
+class TestBulkSynthesis:
+    """``wifi_trace`` draws its stream in bulk and computes on arrays;
+    the per-millisecond loop in tests/golden.py is its golden model,
+    byte for byte."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 1000, _DOUBLES_PER_DRAW + 3])
+    @pytest.mark.parametrize("seed", [0, 5, -9, 10**25])
+    def test_doubles_are_the_next_random_calls(self, n, seed):
+        bulk, scalar = random.Random(seed), random.Random(seed)
+        bulk.random()
+        scalar.random()
+        drawn = _doubles(bulk, n)
+        assert drawn.dtype == np.float64
+        assert drawn.tolist() == [scalar.random() for _ in range(n)]
+        assert bulk.getstate() == scalar.getstate()
+        assert bulk.random() == scalar.random()
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        seed=st.one_of(
+            st.just(0),
+            st.integers(-(2**40), -1),
+            st.integers(2**32, 2**64),
+            st.integers(10**25 - 10**6, 10**25 + 10**6),
+        ),
+        duration_ms=st.integers(1, 4000),
+        burst_rate_hz=st.sampled_from([0, 5, 40, 400, 1000, 2500]),
+        burst_ms_mean=st.floats(0.3, 300),
+        fading_period_ms=st.one_of(st.integers(1, 5000), st.floats(1.0, 5000.0)),
+        mean_power_w=st.sampled_from([450e-6, 0.0, -1e-4, math.nan]),
+    )
+    # Tests run out and are drawn again: often at 400 Hz with short
+    # bursts, and inside the variates at 2500 Hz.
+    @example(seed=3, duration_ms=4000, burst_rate_hz=400, burst_ms_mean=1.0,
+             fading_period_ms=700, mean_power_w=450e-6)
+    @example(seed=-8, duration_ms=3000, burst_rate_hz=2500, burst_ms_mean=0.3,
+             fading_period_ms=700.0, mean_power_w=450e-6)
+    def test_matches_the_loop(self, **kwargs):
+        trace = wifi_trace(**kwargs)
+        samples, name = scalar_wifi_trace(**kwargs)
+        assert trace.samples.tobytes() == samples.tobytes()
+        assert trace.name == name
+
+    @pytest.mark.parametrize("duration_ms", [1, 10])
+    @pytest.mark.parametrize("fading_period_ms", [0, 0.0])
+    def test_zero_fading_period_raises_like_the_loop(self, duration_ms, fading_period_ms):
+        kwargs = dict(duration_ms=duration_ms, fading_period_ms=fading_period_ms)
+        with pytest.raises(ZeroDivisionError):
+            scalar_wifi_trace(**kwargs)
+        with pytest.raises(ZeroDivisionError):
+            wifi_trace(**kwargs)
+
+    @pytest.mark.parametrize("base_seed", [100, 7, 23])
+    def test_paper_traces_match_the_loop(self, base_seed):
+        for index in range(9):
+            trace = paper_trace(index, 9, 3000, base_seed)
+            samples, _ = scalar_wifi_trace(
+                duration_ms=3000,
+                seed=base_seed + index,
+                mean_power_w=DEFAULT_MEAN_POWER_W * (0.6 + 0.8 * (index / 8)),
+            )
+            assert trace.name == f"wifi-{index}"
+            assert trace.samples.tobytes() == samples.tobytes()
 
 
 class TestBundledTraces:

@@ -147,6 +147,8 @@ class TestPrepare:
             ({**job(), "trace_count": 2.5}, "trace_count must be an integer"),
             ({**job(), "trace_duration_ms": 0}, "must be >= 1"),
             (job(workload="MatMul", mode="swp", bits=True), "invalid bits"),
+            ({**job(), "trace_count": 10**8}, "above the limit of 1000"),
+            ({**job(), "trace_duration_ms": 10**9}, "above the limit of 1000000"),
         ],
     )
     def test_unrunnable_job_rejected_before_journal_accept(

@@ -246,6 +246,24 @@ class TestClientResilience:
         finally:
             listener.close()
 
+    @pytest.mark.parametrize("raw, deadline", [
+        ("inf", None), ("1e400", None), ("1e10", None), ("nan", None),
+        ("-1", None), ("soon", None), ("2.5", 2.5),
+    ])
+    def test_read_deadline_out_of_socket_range_means_none(
+        self, monkeypatch, raw, deadline
+    ):
+        """``socket.settimeout`` overflows beyond about 1e9 s, so such a
+        deadline, from the variable or the argument, means no deadline
+        instead of crashing every client."""
+        monkeypatch.setenv("REPRO_CLIENT_TIMEOUT", raw)
+        arguments = [{}] if raw == "soon" else [{}, {"read_timeout": float(raw)}]
+        for kwargs in arguments:
+            ours, peer = socket.socketpair()
+            with peer, ServiceClient(ours, **kwargs) as client:
+                assert client.read_timeout == deadline
+                assert ours.gettimeout() == deadline
+
     def test_reconnect_and_resubmit_after_restart(self, tmp_path):
         with running_service(tmp_path) as svc:
             client = svc.client(retries=6, backoff=0.05)
