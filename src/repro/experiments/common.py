@@ -512,7 +512,7 @@ class _TraceSet(list):
 # configuration, so the expensive rebuilds happen once per process.
 # Workloads (at most one per workload and scale) stay in a plain dict;
 # kernels, commit logs and trace sets share the byte-budgeted cache.
-_worker_workloads: Dict[Tuple[str, str], Tuple[Workload, Tuple[float, ...]]] = {}
+_worker_workloads: Dict[Tuple[str, str], Workload] = {}
 _worker_cache = _WorkerCache()
 
 
@@ -629,11 +629,16 @@ def _sample_inputs(spec: SampleSpec):
     from ..workloads import make_workload
 
     wkey = (spec.workload_name, spec.scale)
-    if wkey not in _worker_workloads:
-        workload = make_workload(spec.workload_name, spec.scale)
-        _worker_workloads[wkey] = (workload, tuple(workload.decoded_reference()))
-    workload, default_reference = _worker_workloads[wkey]
-    reference = spec.reference if spec.reference is not None else default_reference
+    workload = _worker_workloads.get(wkey)
+    if workload is None:
+        workload = _worker_workloads[wkey] = make_workload(
+            spec.workload_name, spec.scale
+        )
+    reference = spec.reference
+    if reference is None:
+        # Evaluated once per workload (memoized on it), and only when
+        # the caller did not pass its own.
+        reference = workload.decoded_reference()
 
     kkey = _kernel_key(spec)
     entry = _worker_cache.get(kkey)

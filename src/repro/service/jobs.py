@@ -1,14 +1,19 @@
 """Job preparation and execution for the experiment service.
 
-These functions run in the service's worker threads, not on the event
-loop: :func:`prepare` rejects jobs that cannot compile and does the
-(cached) calibration work needed to fingerprint a job, and
-:func:`compute` evaluates a cache miss on the replay engine (one
-commit-log walk for the whole trace x invocation grid), sending any
-sample it cannot reproduce exactly to the interpreter, as every
-harness grid does. Results are therefore bit-identical to a serial CLI
-run of the same configuration, which is what lets the store serve them
-to everyone.
+:func:`normalize` validates a submitted spec and :func:`prepared` looks
+its context up; both are cheap and run on the event loop. The rest runs
+in the service's worker threads: :func:`prepare` rejects jobs that
+cannot compile and does the (cached) calibration work needed to
+fingerprint a job, and :func:`compute` evaluates a cache miss on the
+replay engine (one commit-log walk for the whole trace x invocation
+grid), sending any sample it cannot reproduce exactly to the
+interpreter, as every harness grid does. Results are therefore
+bit-identical to a serial CLI run of the same configuration, which is
+what lets the store serve them to everyone.
+
+:func:`prepare` keeps each context it builds in the process's
+byte-budgeted ``_worker_cache``, keyed by the normalized spec, so a
+job the process has prepared before is not prepared again.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from ..experiments.common import (
     _run_sample,
     _sample_specs,
     _store_payload,
+    _worker_cache,
     calibrate_environment,
     measure_precise_cycles,
 )
@@ -43,9 +49,16 @@ _workloads: Dict[Tuple[str, str], Workload] = {}
 _cache_lock = Lock()
 
 
+#: Bytes one memoized :class:`JobContext` retains in ``_worker_cache``,
+#: its cache entry included but not its workload, which every context
+#: of that workload and scale shares: tracemalloc gave 811 B per context
+#: over 200 distinct default-scale MatMul, Home and FC specs.
+_CONTEXT_BYTES = 800
+
+
 @dataclass
 class JobContext:
-    """Everything :func:`compute` needs, resolved once per submission."""
+    """Everything :func:`compute` needs, resolved once per job."""
 
     spec: JobSpec
     fingerprint: str
@@ -53,22 +66,45 @@ class JobContext:
     setup: ExperimentSetup
     environment: Environment
 
+    def nbytes(self) -> int:
+        """The bytes ``_worker_cache`` accounts to this context."""
+        return _CONTEXT_BYTES
+
+
+def normalize(spec: JobSpec) -> JobSpec:
+    """``spec`` validated, with ``bits`` dropped from a precise job,
+    which ignores it, so equal work shares one fingerprint.
+
+    Raises ``ValueError`` as :meth:`JobSpec.validate` does. Afterwards
+    every field is a ``str``, an ``int`` or None, so specs compare and
+    hash exactly. Before, they do not: specs with ``trace_seed`` 1,
+    1.0 and ``true`` are equal, and a precise job's list ``bits``
+    cannot be hashed."""
+    spec.validate()
+    if spec.mode == "precise" and spec.bits is not None:
+        spec = replace(spec, bits=None)
+    return spec
+
+
+def prepared(spec: JobSpec) -> Optional[JobContext]:
+    """The context :func:`prepare` built for the normalized ``spec`` in
+    this process, or None if it has not (or it was evicted)."""
+    return _worker_cache.get(("prepared", spec))
+
 
 def prepare(spec: JobSpec) -> JobContext:
     """Validate a spec and resolve its fingerprint + calibrated setup.
 
-    Rejects a mode the workload's technique cannot compile and SWV
-    bits the compiler cannot pack (before the server journals the job),
-    and drops ``bits`` from precise jobs, which ignore it, so equal work
-    shares one fingerprint. Records the
+    Normalizes the spec (:func:`normalize`), and rejects a mode the
+    workload's technique cannot compile and SWV bits the compiler
+    cannot pack (before the server journals the job). Records the
     workload's precise build once (cached per process) to size the
     storage capacitor — the same calibration every experiment module
     performs — so the fingerprint matches what a direct
     :func:`~repro.experiments.common.run_benchmark` of the same
-    configuration would use."""
-    spec.validate()
-    if spec.mode == "precise" and spec.bits is not None:
-        spec = replace(spec, bits=None)
+    configuration would use. The context is kept for :func:`prepared`;
+    a spec this rejects is never kept."""
+    spec = normalize(spec)
     wkey = (spec.workload, spec.scale)
     with _cache_lock:
         workload = _workloads.get(wkey)
@@ -95,10 +131,10 @@ def prepare(spec: JobSpec) -> JobContext:
         spec.workload, spec.scale, spec.mode, spec.bits, spec.runtime,
         setup, environment,
     )
-    return JobContext(
+    return _worker_cache.add(("prepared", spec), JobContext(
         spec=spec, fingerprint=fingerprint, workload=workload,
         setup=setup, environment=environment,
-    )
+    ))
 
 
 def _sample_summary(run) -> dict:

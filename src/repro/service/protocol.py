@@ -21,6 +21,10 @@ API: a submission streams a level-k approximate answer (the grid's
 first finished sample, skim semantics and all) before the final
 full-grid result lands. A cached submission skips straight to its
 ``result`` event with ``source: "store"``.
+
+The server encodes each event once and tags it with its request's
+``id`` on the way out (:func:`tag_message`), so a stored answer can be
+encoded once and sent to every client that asks for it.
 """
 
 from __future__ import annotations
@@ -162,6 +166,26 @@ class JobSpec:
 def encode_message(message: dict) -> bytes:
     """One protocol message as a single JSON line (utf-8, ``\\n``-terminated)."""
     return json.dumps(message, separators=(",", ":")).encode("utf-8") + b"\n"
+
+
+def tag_message(line: bytes, request_id) -> bytes:
+    """``line``, a message encoded by :func:`encode_message`, tagged
+    with a request id: byte for byte ``encode_message({**message, "id":
+    request_id})``, and ``line`` itself when ``request_id`` is None.
+
+    The message must not hold an ``id`` key already. The id is appended
+    as the last key, encoded with the same separators, so an answer
+    encoded once can be sent under every request's id."""
+    if request_id is None:
+        return line
+    tail = (
+        b'"id":'
+        + json.dumps(request_id, separators=(",", ":")).encode("utf-8")
+        + b"}\n"
+    )
+    if line == b"{}\n":
+        return b"{" + tail
+    return line[:-2] + b"," + tail
 
 
 def decode_message(line: bytes) -> dict:

@@ -7,6 +7,13 @@ localhost TCP. The scheduler's contract:
   (:func:`repro.service.jobs.prepare`) and looked up in the
   content-addressed result store; a hit answers immediately with
   ``source: "store"`` and costs no compute.
+* **Repeats from memory.** A fingerprint pins its entry's content, so
+  the process memoizes, in the byte-budgeted ``_worker_cache``, each
+  validated job's prepared context and each verified store entry's
+  encoded ``result`` events (with and without ``runs``). A job the
+  process has answered before is looked up on the event loop and sent
+  from those bytes, tagged with its request id: no pool hop, no store
+  read, no encoding, and byte for byte the answer a store read gives.
 * **In-flight dedup.** Misses whose fingerprint is already being
   computed *subscribe* to the running job instead of starting another:
   N clients submitting overlapping grids pay for each distinct
@@ -53,18 +60,19 @@ import os
 import signal
 import socket
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Union
 
 from ..errors import SocketInUseError
 from ..experiments.common import _worker_cache
-from ..store.cas import ResultStore
+from ..store.cas import ResultStore, payload_checksum
 from .journal import JobJournal
-from .jobs import JobContext, compute, prepare
+from .jobs import JobContext, compute, normalize, prepare, prepared
 from .protocol import (
     PROTOCOL_VERSION,
     JobSpec,
     decode_message,
     encode_message,
+    tag_message,
 )
 
 #: Environment variable naming the host-level chaos kill point. When it
@@ -118,6 +126,17 @@ class _InflightJob:
             queue.put_nowait(event)
 
 
+class _EncodedHit(tuple):
+    """A verified store entry's ``result`` event, encoded once without
+    and with ``runs`` (indexed by ``full``): what a repeated hit is
+    sent from. Accounted in ``_worker_cache`` at its length in bytes."""
+
+    __slots__ = ()
+
+    def nbytes(self) -> int:
+        return sum(map(len, self))
+
+
 class ExperimentService:
     """The scheduler + server. One instance per ``repro serve`` process."""
 
@@ -141,6 +160,9 @@ class ExperimentService:
         typed ``busy`` event); ``drain_timeout`` bounds the graceful
         drain on shutdown."""
         self.store = ResultStore(store_dir) if store_dir else None
+        #: Part of every hit's memo key, so two services in one process
+        #: on different stores never share a hit.
+        self._store_root = str(self.store.root.resolve()) if self.store else None
         self.pool = ThreadPoolExecutor(
             max_workers=max_workers or min(8, (os.cpu_count() or 2)),
             thread_name_prefix="repro-job",
@@ -175,7 +197,8 @@ class ExperimentService:
 
     def stats(self) -> dict:
         """Scheduler counters, the store's entry/hit statistics and the
-        process's kernel/record/trace cache."""
+        process's byte-budgeted cache (kernels, records, traces, job
+        contexts and store hits)."""
         payload = {
             "protocol": PROTOCOL_VERSION,
             "inflight": len(self.inflight),
@@ -205,6 +228,30 @@ class ExperimentService:
             event["runs"] = payload.get("runs")
         return event
 
+    def _store_hit(self, fingerprint: str) -> Optional[_EncodedHit]:
+        """The store's answer for ``fingerprint`` as encoded ``result``
+        events, or None on a miss.
+
+        A verified answer is kept in ``_worker_cache``, so the next hit
+        on it reads and encodes nothing; only a successful load fills
+        it. An entry that fails its checksum is served, as a load serves
+        it, but read again on every hit, so ``store fsck --repair``
+        heals what a live server answers."""
+        key = ("hit", self._store_root, fingerprint)
+        hit = _worker_cache.get(key)
+        if hit is not None:
+            return hit
+        payload = self.store.load(fingerprint)
+        if payload is None:
+            return None
+        hit = _EncodedHit(
+            encode_message(self._result_event(payload, "store", full))
+            for full in (False, True)
+        )
+        if payload.get("checksum") == payload_checksum(payload):
+            hit = _worker_cache.add(key, hit)
+        return hit
+
     def _track(self, task: "asyncio.Future") -> "asyncio.Future":
         """Register a job task so the graceful drain can await it."""
         self._job_tasks.add(task)
@@ -214,30 +261,31 @@ class ExperimentService:
     async def submit(
         self,
         message: dict,
-        emit: Callable[[dict], "asyncio.Future"],
+        emit: Callable[[Union[dict, bytes]], "asyncio.Future"],
     ) -> None:
         """Handle one ``submit`` request, streaming events via ``emit``.
 
-        ``emit`` is an async callable that tags and writes one message;
-        this coroutine returns when the terminal event has been sent."""
+        ``emit`` is an async callable that tags and writes one message,
+        an event or one already encoded by
+        :func:`~repro.service.protocol.encode_message`; this coroutine
+        returns when the terminal event has been sent."""
         self.counters["submissions"] += 1
         full = bool(message.get("full"))
         try:
-            spec = JobSpec.from_dict(message.get("job"))
-        except (ValueError, TypeError) as exc:
-            self.counters["errors"] += 1
-            await emit({"event": "error", "error": str(exc)})
-            return
-        loop = asyncio.get_running_loop()
-        try:
-            ctx = await loop.run_in_executor(self.pool, prepare, spec)
+            # Validated before the memo lookup: specs that ``validate``
+            # rejects can equal valid ones (``1.0 == 1``).
+            spec = normalize(JobSpec.from_dict(message.get("job")))
+            ctx = prepared(spec)
+            if ctx is None:
+                loop = asyncio.get_running_loop()
+                ctx = await loop.run_in_executor(self.pool, prepare, spec)
         except (ValueError, TypeError) as exc:
             self.counters["errors"] += 1
             await emit({"event": "error", "error": str(exc)})
             return
 
         queue: Optional[asyncio.Queue] = None
-        cached_payload: Optional[dict] = None
+        hit: Optional[_EncodedHit] = None
         deduped = False
         shed: Optional[str] = None
         async with self._lock:
@@ -246,8 +294,8 @@ class ExperimentService:
             # the store *before* leaving the inflight map) is either
             # still subscribable or already servable — never neither.
             if self.store is not None:
-                cached_payload = self.store.load(ctx.fingerprint)
-            if cached_payload is not None:
+                hit = self._store_hit(ctx.fingerprint)
+            if hit is not None:
                 self.counters["store_hits"] += 1
             else:
                 job = self.inflight.get(ctx.fingerprint)
@@ -292,13 +340,13 @@ class ExperimentService:
                 "event": "ack",
                 "protocol": PROTOCOL_VERSION,
                 "fingerprint": ctx.fingerprint,
-                "cached": cached_payload is not None,
+                "cached": hit is not None,
                 "deduped": deduped,
             }
         )
         chaos_point("post-ack")
-        if cached_payload is not None:
-            await emit(self._result_event(cached_payload, "store", full))
+        if hit is not None:
+            await emit(hit[full])
             return
         while True:
             event = await queue.get()
@@ -427,11 +475,12 @@ class ExperimentService:
         write_lock = asyncio.Lock()
         pending: set = set()
 
-        async def send(request_id, message: dict) -> None:
-            if request_id is not None:
-                message = {**message, "id": request_id}
+        async def send(request_id, message) -> None:
+            # ``message`` is an event, or one already encoded.
+            if isinstance(message, dict):
+                message = encode_message(message)
             async with write_lock:
-                writer.write(encode_message(message))
+                writer.write(tag_message(message, request_id))
                 await writer.drain()
 
         try:

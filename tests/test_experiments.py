@@ -179,6 +179,32 @@ class TestWorkerCacheStatelessness:
         fresh = run(spec)
         assert fresh == cold
 
+    def test_explicit_reference_is_not_evaluated_again(self, monkeypatch):
+        """A grid given its reference grades against it, so the samples
+        never evaluate their own workload's IR."""
+        from repro.compiler import ir
+        from repro.experiments.common import run_benchmark_suite
+
+        for name in ("REPRO_JOBS", "REPRO_STORE", "REPRO_FAULTS"):
+            monkeypatch.delenv(name, raising=False)
+        workload = make_workload("MatAdd", "tiny")
+        env = calibrate_environment(measure_precise_cycles(workload), TINY)
+        reference = workload.decoded_reference()
+        calls = []
+        evaluate = ir.evaluate
+
+        def counting_evaluate(*args):
+            calls.append(args)
+            return evaluate(*args)
+
+        self._clear_caches()
+        monkeypatch.setattr(ir, "evaluate", counting_evaluate)
+        [result] = run_benchmark_suite(
+            workload, [("swv", 8)], "clank", TINY, env, reference
+        )
+        assert len(result.runs) == TINY.trace_count * TINY.invocations
+        assert calls == []
+
 
     def test_workload_without_scale_rejected(self):
         """Samples rebuild their workload by name, so an ad-hoc workload

@@ -5,28 +5,36 @@
   :func:`~repro.experiments.common.run_benchmark` field for field;
 * concurrent clients submitting overlapping grids pay for each distinct
   configuration exactly once (in-flight dedup + store);
-* a resubmitted configuration is a pure store hit;
-* bad jobs come back as typed errors, not dead connections;
+* a resubmitted configuration is a pure store hit, and a repeated hit
+  is answered from memory with the same bytes a store read gives;
+* bad jobs come back as typed errors, not dead connections, also when a
+  valid twin of theirs is memoized;
 * the ``serve``/``submit``/``report --live`` CLI round-trips.
 """
 
 import asyncio
 import dataclasses
 import json
+import socket
 import threading
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.__main__ import main
+from repro.experiments import common
 from repro.experiments.common import (
     ExperimentSetup,
     calibrate_environment,
     measure_precise_cycles,
     run_benchmark,
 )
+from repro.fault.service_chaos import _tamper_store_entry
 from repro.service import ExperimentService, JobSpec, ServiceClient, ServiceError
 from repro.service.jobs import prepare
 from repro.service.journal import read_records
+from repro.service.protocol import decode_message, encode_message, tag_message
+from repro.store.cas import ResultStore
 from repro.workloads import make_workload
 
 GRID = {"scale": "tiny", "trace_count": 3, "invocations": 2,
@@ -171,6 +179,189 @@ class TestPrepare:
         plain = prepare(JobSpec.from_dict(job(workload="MatMul", mode="precise", bits=None)))
         assert ctx.fingerprint == plain.fingerprint
         assert ctx.spec.bits is None
+
+
+class TestMemoizedHits:
+    """A hit this process has answered before comes from memory."""
+
+    @staticmethod
+    def _without_ids(events):
+        return [{k: v for k, v in e.items() if k != "id"} for e in events]
+
+    def test_third_submission_reads_no_store(self, tmp_path, monkeypatch):
+        loads = []
+        real_load = ResultStore.load
+
+        def counting_load(store, fingerprint):
+            loads.append(fingerprint)
+            return real_load(store, fingerprint)
+
+        monkeypatch.setattr(ResultStore, "load", counting_load)
+        with running_service(tmp_path) as svc, svc.client() as client:
+            client.submit(job(), full=True)
+            rounds = []
+            for _ in range(2):
+                events = []
+                client.submit(job(), full=True, on_event=events.append)
+                rounds.append(self._without_ids(events))
+            summary = client.submit(job())
+            stats = client.stats()
+        assert rounds[1] == rounds[0]
+        assert rounds[0][-1]["source"] == "store"
+        assert "runs" not in summary
+        assert summary["metrics"] == rounds[0][-1]["metrics"]
+        # The first submission's miss and the second's hit read the
+        # store; the memo answered the rest.
+        assert len(loads) == 2
+        assert stats["store_hits"] == 3
+        assert stats["store"]["hits"] == 1
+
+    def test_raw_socket_string_id_gets_its_tagged_lines(self, tmp_path):
+        request = encode_message(
+            {"op": "submit", "id": "req-\u00e9", "job": job(), "full": True}
+        )
+        with running_service(tmp_path) as svc:
+            with svc.client() as client:
+                client.submit(job())
+            streams = []
+            for _ in range(2):  # a store read, then the memo
+                with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as raw:
+                    raw.settimeout(20)
+                    raw.connect(svc.socket_path)
+                    raw.sendall(request)
+                    with raw.makefile("rb") as reader:
+                        streams.append([reader.readline(), reader.readline()])
+        assert streams[1] == streams[0]
+        events = [decode_message(line) for line in streams[0]]
+        assert [e["event"] for e in events] == ["ack", "result"]
+        assert events[1]["source"] == "store"
+        for line, event in zip(streams[0], events):
+            request_id = event.pop("id")
+            assert request_id == "req-\u00e9"
+            assert line == encode_message({**event, "id": request_id})
+
+    @pytest.mark.parametrize(
+        "twin, invalid, message",
+        [
+            ({**job(), "trace_seed": 1}, {**job(), "trace_seed": 1.0},
+             "trace_seed must be an integer"),
+            ({**job(), "trace_seed": 1}, {**job(), "trace_seed": True},
+             "trace_seed must be an integer"),
+            ({**job(), "trace_seed": 1}, {**job(), "trace_seed": "1"},
+             "trace_seed must be an integer"),
+            (job(workload="MatMul", mode="swp", bits=1),
+             job(workload="MatMul", mode="swp", bits=True), "invalid bits"),
+        ],
+    )
+    def test_invalid_twin_of_a_memoized_job_is_rejected(
+        self, tmp_path, monkeypatch, twin, invalid, message
+    ):
+        """Python hashes ``1``, ``1.0`` and ``True`` alike, so a memo
+        consulted before validation would serve these."""
+        monkeypatch.setenv("REPRO_CLIENT_TIMEOUT", "20")
+        with running_service(tmp_path) as svc, svc.client() as client:
+            client.submit(twin)
+        path = str(tmp_path / "journal.jsonl")
+        events = []
+        with running_service(tmp_path, journal=path) as svc, svc.client() as client:
+            assert client.submit(twin)["source"] == "store"
+            with pytest.raises(ServiceError, match=message):
+                client.submit(invalid, on_event=events.append)
+            stats = client.stats()
+        assert [event["event"] for event in events] == ["error"]
+        assert read_records(path) == []
+        assert stats["computed"] == 0
+
+    @pytest.mark.parametrize("bits", [[1], {"x": 1}])
+    def test_precise_job_ignores_unhashable_bits(self, tmp_path, monkeypatch, bits):
+        monkeypatch.setenv("REPRO_CLIENT_TIMEOUT", "20")
+        plain = job(mode="precise", bits=None)
+        with running_service(tmp_path) as svc, svc.client() as client:
+            result = client.submit({**plain, "bits": bits})
+            again = client.submit(plain)
+        assert result["fingerprint"] == prepare(JobSpec.from_dict(plain)).fingerprint
+        assert again["fingerprint"] == result["fingerprint"]
+        assert again["source"] == "store"
+
+    def test_services_on_different_stores_share_no_hit(self, tmp_path):
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        with running_service(tmp_path / "a") as first, \
+                running_service(tmp_path / "b") as second:
+            with first.client() as client:
+                client.submit(job())
+                assert client.submit(job())["source"] == "store"
+            with second.client() as client:
+                result = client.submit(job())
+                stats = client.stats()
+        assert result["source"] == "computed"
+        assert stats["computed"] == 1
+        assert stats["store_hits"] == 0
+
+    def test_bit_rot_is_served_but_not_kept_so_fsck_heals_it(self, tmp_path):
+        store_dir = tmp_path / "store"
+        with running_service(tmp_path) as svc, svc.client() as client:
+            truth = client.submit(job(), full=True)
+            [entry] = store_dir.glob("*/*.json")
+            _tamper_store_entry(entry, "tamper")
+            rotten = client.submit(job(), full=True)
+            code = main(["store", "fsck", "--store", str(store_dir), "--repair"])
+            healed = client.submit(job(), full=True)
+            stats = client.stats()
+        assert code == 0
+        assert rotten["source"] == "store"
+        assert rotten["runs"][0]["wall_ms"] == truth["runs"][0]["wall_ms"] + 1.0
+        assert healed["source"] == "computed"
+        assert healed["runs"] == truth["runs"]
+        assert stats["computed"] == 2
+
+    def test_hits_above_the_cache_budget_answer_from_disk(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(common, "CACHE_BUDGET_BYTES", 1)
+        with running_service(tmp_path) as svc, svc.client() as client:
+            first = client.submit(job(), full=True)
+            hits = [client.submit(job(), full=True) for _ in range(2)]
+            stats = client.stats()
+        assert [hit["source"] for hit in hits] == ["store", "store"]
+        assert hits[0]["runs"] == hits[1]["runs"] == first["runs"]
+        assert stats["store"]["hits"] == 2
+        assert stats["cache"]["bytes"] == 0
+
+
+_JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers(-(2**70), 2**70)
+    | st.floats(allow_nan=True, allow_infinity=True) | st.text()
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    event=st.dictionaries(
+        st.text(max_size=8).filter(lambda key: key != "id"), _JSON_VALUES,
+        max_size=5,
+    ),
+    request_id=_JSON_VALUES,
+)
+@example(event={"event": "result", "x": float("nan")}, request_id=-7)
+@example(event={"inf": [float("inf"), -float("inf")]}, request_id=2**64 + 1)
+@example(event={"text": "\u00e9\u2603"}, request_id=0.5)
+@example(event={}, request_id="\u00e9\U0001f600")
+@example(event={"a": 1}, request_id=None)
+@example(event={"a": 1}, request_id=True)
+@example(event={"a": 1}, request_id=[1, [2, {"b": None}]])
+@example(event={"a": 1}, request_id={"k": [1, 2], "j": {"x": "y"}})
+def test_tag_message_equals_encoding_with_the_id(event, request_id):
+    """What ``send`` wrote before encoded answers were kept: the id
+    appended to the event, then the whole message encoded."""
+    tagged = event if request_id is None else {**event, "id": request_id}
+    assert tag_message(encode_message(event), request_id) == encode_message(tagged)
 
 
 class TestConcurrentClients:

@@ -7,6 +7,9 @@ slice twice, and asserts:
 * round 1 computes every configuration (with a level-k progressive
   event arriving before each final result);
 * round 2 is pure store hits, byte-identical to round 1;
+* round 3 is answered from the server's memory: the same store hits,
+  equal to round 2's, with no further store reads (``stats.store_hits``
+  grows by one per configuration, ``stats.store.hits`` does not move);
 * both match a direct in-process run of the same grid;
 * the server's stats agree (computed == configs, no errors), and its
   kernel/record/trace cache holds no more bytes than its budget;
@@ -111,6 +114,8 @@ def main() -> int:
         try:
             cold_sources, cold_runs, previews = submit_round(client)
             warm_sources, warm_runs, _ = submit_round(client)
+            warm_stats = client.stats()
+            memo_sources, memo_runs, _ = submit_round(client)
             stats = client.stats()
 
             # Forced reconnect: SIGKILL the server mid-session, restart
@@ -144,6 +149,20 @@ def main() -> int:
             failures.append(f"warm round was not pure cache hits: {warm_sources}")
         if warm_runs != cold_runs:
             failures.append("warm results differ from cold results")
+        if memo_sources != ["store"] * len(CONFIGS):
+            failures.append(f"memory round was not store hits: {memo_sources}")
+        if memo_runs != warm_runs:
+            failures.append("memory round results differ from the warm round")
+        if stats["store_hits"] - warm_stats["store_hits"] != len(CONFIGS):
+            failures.append(
+                f"memory round store_hits moved {warm_stats['store_hits']} "
+                f"-> {stats['store_hits']} (want +{len(CONFIGS)})"
+            )
+        if stats["store"]["hits"] != warm_stats["store"]["hits"]:
+            failures.append(
+                f"memory round read the store: store.hits "
+                f"{warm_stats['store']['hits']} -> {stats['store']['hits']}"
+            )
         if cold_runs != direct_grid():
             failures.append("service results differ from a direct serial run")
         if stats["computed"] != len(CONFIGS) or stats["errors"]:
@@ -170,8 +189,8 @@ def main() -> int:
         print(f"FAIL: {failure}", file=sys.stderr)
     if not failures:
         print(f"service smoke passed: {len(CONFIGS)} configs computed once, "
-              "resubmission served from the store, forced reconnect "
-              "resumed cleanly, fsck clean")
+              "resubmission served from the store, then from memory, "
+              "forced reconnect resumed cleanly, fsck clean")
     return 1 if failures else 0
 
 
