@@ -72,6 +72,7 @@ class ArraySlot:
 
     @property
     def size_bytes(self) -> int:
+        """Bytes the array occupies in data memory."""
         return self.array.length * self.array.element_bytes
 
 
@@ -170,6 +171,7 @@ class CompiledKernel:
 
     @property
     def code_size_bytes(self) -> int:
+        """Static code size of the program (see ``Program.code_size_bytes``)."""
         return self.program.code_size_bytes
 
 
@@ -236,6 +238,8 @@ class CodeGenerator:
     # -- driver ----------------------------------------------------------------
 
     def generate(self) -> CompiledKernel:
+        """Emit the kernel's assembly, assemble it and bundle the result
+        with the data layout."""
         self.lines = [f"@ kernel {self.kernel.name} (generated)"]
         for name, slot in self.slots.items():
             self._emit(f"MOV R{self.plan.reg_of(name)}, #{slot.address:#x}")

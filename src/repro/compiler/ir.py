@@ -102,6 +102,18 @@ class Expr:
 
     __slots__ = ()
 
+    def __deepcopy__(self, memo) -> "Expr":
+        """Share the node: a deep copy of an expression is itself.
+
+        Every expression is a frozen dataclass whose fields are ints,
+        strings and other expressions, so no copy can diverge from it.
+        The SWP and SWV passes deep-copy *statements* and rewrite those
+        (``stmt.expr = ...``, ``stmt.accumulate = True``,
+        ``loop.body = ...``), never an expression in place. Copying the
+        expression trees, once per subword phase, was most of the SWP
+        pass's time."""
+        return self
+
 
 @dataclass(frozen=True)
 class Const(Expr):
@@ -303,19 +315,25 @@ def _walk_statement_exprs(stmt: Stmt):
 
 
 def walk_exprs(expr: Expr):
-    """Yield ``expr`` and every sub-expression, depth-first."""
-    yield expr
-    if isinstance(expr, BinOp):
-        yield from walk_exprs(expr.lhs)
-        yield from walk_exprs(expr.rhs)
-    elif isinstance(expr, MulAsp):
-        yield from walk_exprs(expr.lhs)
-        yield from walk_exprs(expr.sub)
-    elif isinstance(expr, VecOp):
-        yield from walk_exprs(expr.lhs)
-        yield from walk_exprs(expr.rhs)
-    elif isinstance(expr, (Load, SubwordLoad)):
-        yield from walk_exprs(expr.index)
+    """Yield ``expr`` and every sub-expression, depth-first pre-order.
+
+    An explicit stack instead of one nested generator per node: the
+    right operand is pushed first so the left one is walked first."""
+    stack = [expr]
+    while stack:
+        expr = stack.pop()
+        yield expr
+        if isinstance(expr, BinOp):
+            stack.append(expr.rhs)
+            stack.append(expr.lhs)
+        elif isinstance(expr, MulAsp):
+            stack.append(expr.sub)
+            stack.append(expr.lhs)
+        elif isinstance(expr, VecOp):
+            stack.append(expr.rhs)
+            stack.append(expr.lhs)
+        elif isinstance(expr, (Load, SubwordLoad)):
+            stack.append(expr.index)
 
 
 # ---------------------------------------------------------------------------

@@ -73,9 +73,21 @@ class Assembler:
     # -- public API ---------------------------------------------------------
 
     def assemble(self, source: str, name: str = "program") -> Program:
+        """Assemble ``source`` into a :class:`Program` named ``name``.
+
+        Each distinct instruction text (comment and labels stripped) is
+        parsed once per call: compiled kernels repeat their lines many
+        times over (an SWP build repeats its loop body once per subword
+        phase). A repeat gets a new :class:`Instruction` built from the
+        first parse's fields, with its own ``text`` and ``line``; no
+        instruction object is shared, because the second pass writes
+        ``target`` on each. A ``.equ`` changes how later lines parse,
+        so every directive clears the memo. A line that fails to parse
+        is not memoized, so its error names its own line."""
         instructions: List[Instruction] = []
         labels: Dict[str, int] = {}
         self.constants = {}
+        parsed: Dict[str, tuple] = {}
 
         for lineno, raw in enumerate(source.splitlines(), start=1):
             text = _strip_comment(raw)
@@ -86,8 +98,17 @@ class Assembler:
                 continue
             if text.startswith("."):
                 self._directive(text, lineno)
+                parsed.clear()
                 continue
-            instructions.append(self._parse_instruction(text, lineno))
+            fields = parsed.get(text)
+            if fields is None:
+                instr = self._parse_instruction(text, lineno)
+                parsed[text] = (
+                    instr.op, instr.rd, instr.rn, instr.rm, instr.imm, instr.label
+                )
+            else:
+                instr = Instruction(*fields, text=text, line=lineno)
+            instructions.append(instr)
 
         self._resolve_labels(instructions, labels)
         return Program(instructions, labels, dict(self.constants), name=name)

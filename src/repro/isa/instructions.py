@@ -152,12 +152,14 @@ class Instruction:
     # (the paper reports ~1 KB growth for the largest 4-bit benchmark).
     @property
     def size_bytes(self) -> int:
+        """Encoded size: 4 bytes for a What's Next extension op, else 2."""
         if self.op in WN_OPS and self.op != "MUL":
             return 4
         return 2
 
     @property
     def is_branch(self) -> bool:
+        """True for ``B``, ``BL``, ``BX`` and the conditional branches."""
         return self.op in FLOW_OPS and self.op not in ("HALT", "NOP")
 
     @property

@@ -500,8 +500,11 @@ class ExperimentService:
                 elif op == "stats":
                     await send(request_id, {"event": "stats", "stats": self.stats()})
                 elif op == "shutdown":
-                    await send(request_id, {"event": "bye"})
+                    # Drain before the reply: a client that hangs up
+                    # without reading ``bye`` makes the write raise, and
+                    # the shutdown must hold all the same.
                     self.begin_drain()
+                    await send(request_id, {"event": "bye"})
                     break
                 elif op == "submit":
                     task = asyncio.ensure_future(

@@ -9,7 +9,7 @@ the :class:`~repro.sim.multiplier.Multiplier` and
 :class:`~repro.sim.adder.SubwordAdder` functional units.
 
 This is the *fast* interpreter: at construction every instruction is
-decoded once into a specialized closure (see :mod:`repro.sim.decode`),
+decoded once into a specialized handler (see :mod:`repro.sim.decode`),
 per-instruction worst-case costs are pre-computed for ``peek_cost`` /
 ``run_cycles``, and statistics are kept as batched per-instruction
 retire counters that materialize into :class:`ExecutionStats` only when
@@ -127,6 +127,8 @@ class CPU:
 
     @stats.setter
     def stats(self, value: ExecutionStats) -> None:
+        """Replace the statistics object (the batched counters keep
+        flushing into the new one)."""
         self._stats = value
 
     def _flush_stats(self) -> None:

@@ -276,3 +276,29 @@ class TestListingRoundTrip:
         second = assemble("\n".join(lines))
         assert list(second) == list(first)
         assert second.labels == first.labels
+
+
+class TestParseOnce:
+    """Each distinct line is parsed once per program; every repeat must
+    still come out as its own instruction, parsed as it would be alone."""
+
+    def test_equ_redefinition_reparses_later_lines(self):
+        program = assemble(".equ N, 1\nMOV R0, #N\n.equ N, 2\nMOV R0, #N")
+        assert [instr.imm for instr in program] == [1, 2]
+
+    def test_line_that_parsed_can_fail_after_an_equ(self):
+        source = (
+            ".equ P, 1\nMUL_ASP8 R0, R1, #P\n"
+            ".equ P, -1\nMUL_ASP8 R0, R1, #P"
+        )
+        with pytest.raises(AssemblerError) as info:
+            assemble(source)
+        assert info.value.line == 4
+
+    def test_repeated_lines_are_distinct_instructions(self):
+        program = assemble("L:\n    B L\n    B L  @ again")
+        first, second = program.instructions
+        assert first is not second
+        assert (first.line, second.line) == (2, 3)
+        assert first.text == second.text == "B L"
+        assert first.target == second.target == 0

@@ -9,12 +9,15 @@
 * the client enforces a read deadline, reconnects + resubmits after a
   server restart, and honors ``busy`` load-shed rejections;
 * the per-job wall-clock watchdog turns a hung compute into a typed
-  ``job-timeout`` error and retires the job in the journal.
+  ``job-timeout`` error and retires the job in the journal;
+* a ``shutdown`` op holds even when its client hangs up before the
+  ``bye`` reply.
 """
 
 import asyncio
 import json
 import socket
+import subprocess
 import threading
 import time
 
@@ -26,6 +29,7 @@ from repro.errors import (
     ServiceTimeout,
     SocketInUseError,
 )
+from repro.fault.service_chaos import _spawn_server, _stop_server
 from repro.service import ExperimentService, JobJournal, ServiceClient
 from repro.service.journal import _sealed_line, pending_jobs, read_records
 from repro.service.jobs import prepare
@@ -331,3 +335,64 @@ class TestWatchdog:
         assert stats["job_timeouts"] == 1
         # The fail record retires the job: recovery must not replay it.
         assert pending_jobs(journal_path) == []
+
+
+class _HungUpWriter:
+    """A stream writer whose client has gone: every drain raises."""
+
+    def write(self, data):
+        pass
+
+    async def drain(self):
+        raise BrokenPipeError
+
+    def close(self):
+        pass
+
+    async def wait_closed(self):
+        pass
+
+
+class TestShutdown:
+    def test_shutdown_holds_when_the_bye_write_fails(self):
+        service = ExperimentService()
+
+        async def scenario():
+            service._stop = asyncio.Event()
+            reader = asyncio.StreamReader()
+            reader.feed_data(b'{"op": "shutdown"}\n')
+            reader.feed_eof()
+            await service._handle(reader, _HungUpWriter())
+            return service._stop.is_set()
+
+        try:
+            assert asyncio.run(scenario())
+            assert service._draining
+        finally:
+            service.pool.shutdown()
+
+    def test_server_exits_after_a_shutdown_the_client_never_read(self, tmp_path):
+        socket_path = tmp_path / "svc.sock"
+        server = _spawn_server(
+            socket_path, tmp_path / "store", tmp_path / "journal.jsonl"
+        )
+        try:
+            deadline = time.monotonic() + 30
+            while True:
+                assert server.poll() is None, "server exited before serving"
+                assert time.monotonic() < deadline, "server never came up"
+                try:
+                    with socket.socket(socket.AF_UNIX) as probe:
+                        probe.connect(str(socket_path))
+                    break
+                except OSError:
+                    time.sleep(0.05)
+            with socket.socket(socket.AF_UNIX) as raw:
+                raw.connect(str(socket_path))
+                raw.sendall(b'{"op": "shutdown"}\n')
+            try:
+                assert server.wait(timeout=10) == 0
+            except subprocess.TimeoutExpired:
+                pytest.fail("server kept serving after shutdown")
+        finally:
+            _stop_server(server)

@@ -1,9 +1,16 @@
 """Unit tests for the cycle-level CPU."""
 
+import gc
+import types
+
 import pytest
 
+from repro.experiments.common import build_anytime
 from repro.isa import assemble
 from repro.sim import CPU, CpuFault, MemoTable, Multiplier, default_memory
+from repro.sim import decode
+from repro.workloads import ALL_BENCHMARKS, make_workload
+from tests.test_native_record import VALID_BITS
 
 
 def run_program(source, setup=None):
@@ -372,3 +379,54 @@ class TestStats:
         assert cpu1.stats.instructions == 5
         cpu1.stats.reset()
         assert cpu1.stats.instructions == 0
+
+
+class TestHandlerBinding:
+    """Handlers take their operands as keyword defaults, not closure
+    cells, so a bound CPU keeps few garbage-collected objects alive."""
+
+    def test_no_handler_definition_has_free_variables(self):
+        # Every handler variant, used by a workload or not.
+        for binder in (decode.bind_handlers, decode._bind_bcc, decode._bind_alu):
+            assert binder.__code__.co_cellvars == (), binder.__name__
+            nested = [
+                const for const in binder.__code__.co_consts
+                if isinstance(const, types.CodeType)
+            ]
+            assert nested, binder.__name__
+            for code in nested:
+                assert code.co_freevars == (), (code.co_name, code.co_firstlineno)
+
+    @pytest.mark.parametrize("name", ALL_BENCHMARKS)
+    def test_bound_handlers_hold_no_closure(self, name):
+        workload = make_workload(name, "tiny")
+        configs = [("precise", None)] + [
+            (workload.technique, bits)
+            for bits in VALID_BITS[workload.technique]
+        ]
+        for mode, bits in configs:
+            for accelerated in (False, True):
+                kernel = build_anytime(
+                    workload, mode, bits,
+                    memoization=accelerated, zero_skipping=accelerated,
+                )
+                cpu = kernel.make_cpu(workload.inputs)
+                assert len(cpu._handlers) == len(kernel.compiled.program)
+                for handler in cpu._handlers:
+                    assert handler.__closure__ is None, (mode, bits, handler)
+
+    def test_binding_a_cpu_adds_few_tracked_objects(self):
+        workload = make_workload("MatMul", "default")
+        kernel = build_anytime(workload, "swp", 4)
+        program = kernel.compiled.program
+        first = kernel.make_cpu(workload.inputs)  # decodes the program
+        gc.disable()
+        try:
+            before = len(gc.get_objects())
+            second = CPU(program, first.memory)
+            added = len(gc.get_objects()) - before
+        finally:
+            gc.enable()
+        # Both handler lists are alive: nothing was freed in between.
+        assert first._handlers is not second._handlers
+        assert added <= 3 * len(program), added / len(program)
