@@ -6,8 +6,8 @@ into the on/off supply the intermittent executor sees. Time advances in
 up to ``cycles_per_ms`` cycles, further limited by the energy stored
 above the brown-out threshold.
 
-Typical use (this is what
-:class:`repro.runtime.executor.IntermittentExecutor` does)::
+Typical use (this is what the intermittent loop of
+:mod:`repro.runtime.executor` does, on both engines)::
 
     supply = PowerSupply(trace)
     while True:

@@ -2,9 +2,15 @@
 
 A runtime owns the policy that preserves forward progress across power
 outages: Clank-style checkpointing for a conventional volatile core, or
-backup-every-cycle for a non-volatile processor. The
-:class:`~repro.runtime.executor.IntermittentExecutor` drives a runtime
-through this interface.
+backup-every-cycle for a non-volatile processor. Each runtime comes as
+a pair: an :class:`IntermittentRuntime` over a live CPU and a
+:class:`ReplayPolicy` over a recorded commit log.
+
+:class:`ReplayPolicy` is also the surface of the one intermittent loop
+(:func:`repro.runtime.executor._intermittent_loop`) that both engines
+run. A replay policy is that surface's lane side; the
+:class:`~repro.runtime.executor.IntermittentExecutor` is its live side,
+driving an :class:`IntermittentRuntime` and its CPU.
 """
 
 from __future__ import annotations
@@ -84,21 +90,30 @@ class IntermittentRuntime(ABC):
 class ReplayPolicy:
     """A runtime's forward-progress policy expressed over log segments.
 
-    The replay twin of :class:`IntermittentRuntime`: the same executor
-    callbacks (``on_tick`` / ``on_outage`` / ``on_restore`` plus a
-    ``run_chunk`` standing in for ``CPU.run_cycles``), but architectural
-    state is a *position* in a recorded commit log
-    (:class:`~repro.sim.replay.ReplayRecord`) instead of a live CPU.
-    Restoring a checkpoint is rewinding the position; executing a chunk
-    is one budget bisect over the log's cost prefix sums. Each runtime
-    module pairs its live runtime with a replay policy subclass.
+    The replay twin of :class:`IntermittentRuntime`, and the surface the
+    intermittent loop drives on both engines: ``run_chunk``, ``halted``,
+    ``on_tick``, ``on_restore`` and ``on_outage`` (plus ``on_low_voltage``
+    and ``snapshot_cycles`` for a just-in-time runtime), the
+    :meth:`restore_signature` of the livelock guard, the
+    :meth:`location` of a stall, and the :attr:`engine` label.
+    Architectural state is a *position* in a recorded commit log
+    (:class:`~repro.sim.replay.ReplayRecord`) instead of a live CPU:
+    restoring a checkpoint is rewinding the position, and executing a
+    chunk is one budget bisect over the log's cost prefix sums. Each
+    runtime module pairs its live runtime with a replay policy subclass.
     """
 
     name = "abstract"
-    #: Chunk interval for the executor's inner loop (Clank's watchdog).
+    #: Chunk interval for the loop's inner chunks (Clank's watchdog).
     watchdog_cycles: Optional[int] = None
     #: As :attr:`IntermittentRuntime.volatile_core`.
     volatile_core = True
+    #: Label of the loop's ``restore`` and ``outage`` trace events.
+    engine = "replay"
+    #: The post-skim suffix was never recorded, so the loop stops at the
+    #: restore that consumes the skim register; the caller finishes the
+    #: run on a live CPU.
+    follows_skim = False
 
     def __init__(self, record: ReplayRecord, skim: SkimRegister):
         self.record = record
@@ -109,9 +124,8 @@ class ReplayPolicy:
         #: here is in memory (re-executed stores rewrite identical
         #: values, so the NVM image is a function of this watermark).
         self.max_position = 0
-        #: Position the last restore resumed from (the executor's
-        #: livelock signature: equal positions mean equal state, since
-        #: the stream is deterministic).
+        #: Position the last restore resumed from (the loop's livelock
+        #: signature, :meth:`restore_signature`).
         self.resume_position = 0
         #: Target consumed from the skim register by the last restore.
         self.skim_redirect: Optional[int] = None
@@ -152,3 +166,12 @@ class ReplayPolicy:
     def on_restore(self) -> int:
         """Power returned: rewind/resume; returns the restore cost."""
         raise NotImplementedError
+
+    def restore_signature(self) -> int:
+        """The state the last restore resumed: its stream position (the
+        stream is deterministic, so equal positions mean equal state)."""
+        return self.resume_position
+
+    def location(self) -> dict:
+        """Where a stall happened: the stream position."""
+        return {"position": self.cursor}

@@ -20,7 +20,6 @@ from .peripherals import (
     attach_sensor,
 )
 from .stats import ExecutionStats
-from .tracing import CycleProfiler, ExecutionTracer, disassemble
 from .cpu import CPU, CpuFault
 from .reference import ReferenceCPU
 
@@ -28,9 +27,7 @@ __all__ = [
     "CPU",
     "CpuFault",
     "ReferenceCPU",
-    "CycleProfiler",
     "DeviceRegion",
-    "ExecutionTracer",
     "ExecutionStats",
     "MemoTable",
     "Memory",
@@ -47,7 +44,6 @@ __all__ = [
     "SRAM_SIZE",
     "SubwordAdder",
     "attach_sensor",
-    "disassemble",
     "default_memory",
     "word_range",
 ]

@@ -53,9 +53,7 @@ class CPU:
     """Pre-decoded interpreter for one program on one memory."""
 
     # Slotted so the dispatch loop's pc/halted reads and the handlers'
-    # pc stores skip the instance dict. "__dict__" stays in the slots:
-    # tracers (repro.sim.tracing) wrap ``cpu.step`` by assigning an
-    # instance attribute, and that must keep working.
+    # pc stores skip the instance dict.
     __slots__ = (
         "program",
         "memory",
@@ -76,7 +74,6 @@ class CPU:
         "_metas",
         "_peek_costs",
         "_handlers",
-        "__dict__",
     )
 
     #: Subclasses that interpret :class:`Instruction` objects directly
@@ -195,8 +192,6 @@ class CPU:
         dispatch throughput, and ``absorb_counts`` reconstructs the
         exact same cycle total the per-step returns would have summed to.
         """
-        if "step" in self.__dict__:
-            return self._run_generic(max_instructions)
         handlers = self._handlers
         self._flush_stats()
         start_cycles = self._stats.cycles
@@ -220,8 +215,6 @@ class CPU:
         the cycles actually consumed (<= budget, plus any runtime
         overhead the store hook charges on the committing instruction).
         """
-        if "step" in self.__dict__:
-            return self._run_cycles_generic(budget)
         handlers = self._handlers
         costs = self._peek_costs
         consumed = 0
@@ -231,27 +224,4 @@ class CPU:
             if consumed + cost > budget:
                 break
             consumed += handlers[pc]()
-        return consumed
-
-    # Generic loops dispatching through self.step, used when a tracer or
-    # profiler has wrapped ``cpu.step`` (see repro.sim.tracing) and by
-    # the reference interpreter, which overrides step/peek_cost.
-
-    def _run_generic(self, max_instructions: int) -> int:
-        total = 0
-        executed = 0
-        while not self.halted:
-            total += self.step()
-            executed += 1
-            if executed > max_instructions:
-                raise CpuFault("instruction limit exceeded (runaway program?)")
-        return total
-
-    def _run_cycles_generic(self, budget: int) -> int:
-        consumed = 0
-        while not self.halted:
-            cost = self.peek_cost()
-            if consumed + cost > budget:
-                break
-            consumed += self.step()
         return consumed

@@ -53,6 +53,8 @@ class MemoTable:
         return index, tag
 
     def lookup(self, a: int, b: int) -> Optional[int]:
+        """The memoized product of ``a`` and ``b``, or ``None`` on a
+        miss; counts the hit or miss."""
         index, tag = self._index_tag(a, b)
         if self.tags[index] == tag:
             self.hits += 1
@@ -61,6 +63,8 @@ class MemoTable:
         return None
 
     def insert(self, a: int, b: int, product: int) -> None:
+        """Store ``product`` in the set of ``(a, b)``, evicting its
+        previous entry; products with a zero operand are skipped."""
         if a == 0 or b == 0:
             return
         index, tag = self._index_tag(a, b)
@@ -68,11 +72,13 @@ class MemoTable:
         self.values[index] = product
 
     def reset_stats(self) -> None:
+        """Zero the hit and miss counters; the entries stay."""
         self.hits = 0
         self.misses = 0
 
     @property
     def hit_rate(self) -> float:
+        """Hits over lookups, or 0.0 before the first lookup."""
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
 
@@ -148,6 +154,7 @@ class Multiplier:
         return (product << shift) & MASK32, iter_cycles
 
     def reset_stats(self) -> None:
+        """Zero the cycle and multiply counters, and the memo table's."""
         self.total_mul_cycles = 0
         self.mul_count = 0
         if self.memo is not None:

@@ -56,16 +56,21 @@ class SensorFIFO:
         return True
 
     def push_many(self, samples: Iterable[int]) -> None:
+        """Push each of ``samples`` in order, as :meth:`push` does."""
         for sample in samples:
             self.push(sample)
 
     @property
     def available(self) -> int:
+        """Samples waiting in the FIFO."""
         return len(self._fifo)
 
     # -- MMIO device interface ------------------------------------------------
 
     def read(self, offset: int, size: int) -> int:
+        """MMIO load: the data register pops the oldest sample (0 when
+        empty), the status register reads the fill level and the
+        dropped register the overflow count; other offsets read 0."""
         if offset == DATA_OFFSET:
             self.reads += 1
             return self._fifo.popleft() if self._fifo else 0
@@ -76,6 +81,7 @@ class SensorFIFO:
         return 0
 
     def write(self, offset: int, size: int, value: int) -> None:
+        """MMIO store: accepted and ignored."""
         # Control writes are accepted and ignored (no configurable
         # registers in this model).
         return None
@@ -91,7 +97,8 @@ class DeviceRegion(Region):
         self.device = device
 
     def clear(self) -> None:  # pragma: no cover - never volatile
-        pass
+        """Nothing to clear: the region is non-volatile and holds no
+        RAM."""
 
 
 def attach_sensor(memory: Memory, sensor: SensorFIFO, base: int = SENSOR_BASE) -> DeviceRegion:

@@ -257,8 +257,21 @@ class ReferenceCPU(CPU):
 
     def run(self, max_instructions: int = 100_000_000) -> int:
         """Run until HALT; returns total cycles. Raises if the limit trips."""
-        return self._run_generic(max_instructions)
+        total = 0
+        executed = 0
+        while not self.halted:
+            total += self.step()
+            executed += 1
+            if executed > max_instructions:
+                raise CpuFault("instruction limit exceeded (runaway program?)")
+        return total
 
     def run_cycles(self, budget: int) -> int:
         """Run until the cycle budget is exhausted or the program halts."""
-        return self._run_cycles_generic(budget)
+        consumed = 0
+        while not self.halted:
+            cost = self.peek_cost()
+            if consumed + cost > budget:
+                break
+            consumed += self.step()
+        return consumed

@@ -13,6 +13,7 @@
 
 import dataclasses
 import os
+import threading
 import time
 
 import pytest
@@ -26,7 +27,11 @@ from repro.experiments.common import (
     run_benchmark,
     run_benchmark_suite,
 )
-from repro.runtime.executor import set_sample_deadline
+from repro.runtime.executor import (
+    check_sample_deadline,
+    sample_deadline_armed,
+    set_sample_deadline,
+)
 from repro.store.cas import config_fingerprint
 from repro.workloads import make_workload
 
@@ -34,6 +39,8 @@ SETUP = ExperimentSetup(
     scale="tiny", trace_count=3, invocations=2, trace_duration_ms=800
 )
 CONFIGS = [("precise", None), ("swv", 8)]
+#: Bound on every thread handshake and join in the deadline tests.
+WAIT_S = 10.0
 
 
 @pytest.fixture(scope="module")
@@ -187,7 +194,60 @@ class TestSampleTimeout:
         monkeypatch.delenv("REPRO_SAMPLE_TIMEOUT")
         from repro.runtime import executor
 
-        assert executor._SAMPLE_DEADLINE is None
+        assert not executor.sample_deadline_armed()
+
+    def test_other_threads_clear_leaves_this_deadline_armed(self):
+        """``repro serve`` runs jobs on a thread pool: one job clearing
+        its own deadline must not disarm another's."""
+        armed, cleared = threading.Event(), threading.Event()
+        outcome = {}
+
+        def job_a():
+            set_sample_deadline(time.monotonic() - 1.0)
+            armed.set()
+            try:
+                outcome["b cleared"] = cleared.wait(WAIT_S)
+                check_sample_deadline(0)
+            except SampleTimeout:
+                outcome["a"] = "timeout"
+            else:
+                outcome["a"] = "ran on"
+            finally:
+                set_sample_deadline(None)
+
+        def job_b():
+            outcome["a armed"] = armed.wait(WAIT_S)
+            set_sample_deadline(time.monotonic() + 60.0)
+            set_sample_deadline(None)
+            cleared.set()
+
+        threads = [threading.Thread(target=job_a), threading.Thread(target=job_b)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(WAIT_S)
+            assert not thread.is_alive()
+        assert outcome == {"a armed": True, "b cleared": True, "a": "timeout"}
+
+    def test_other_threads_deadline_does_not_reach_this_one(self):
+        armed, checked = threading.Event(), threading.Event()
+
+        def job_b():
+            set_sample_deadline(time.monotonic() - 1.0)
+            armed.set()
+            checked.wait(WAIT_S)
+            set_sample_deadline(None)
+
+        thread = threading.Thread(target=job_b)
+        thread.start()
+        try:
+            assert armed.wait(WAIT_S)
+            assert not sample_deadline_armed()
+            check_sample_deadline(0)
+        finally:
+            checked.set()
+            thread.join(WAIT_S)
+        assert not thread.is_alive()
 
     def test_invalid_value_warns_once_and_disables(self, monkeypatch, capfd):
         for value in ("soon", "nan", "inf"):
