@@ -570,14 +570,9 @@ def _bench_interp(args) -> int:
 
 
 def _bench_workload(args) -> int:
-    from .experiments import (
-        ExperimentSetup,
-        calibrate_environment,
-        measure_precise_cycles,
-        median_speedup,
-        run_benchmark,
-    )
-    from .workloads import ALL_BENCHMARKS, make_workload
+    from .experiments import ExperimentSetup, median_speedup, run_benchmark
+    from .experiments.common import worker_workload
+    from .workloads import ALL_BENCHMARKS
 
     if args.benchmark not in ALL_BENCHMARKS:
         print(f"unknown benchmark {args.benchmark!r}; choose from {ALL_BENCHMARKS}",
@@ -586,12 +581,10 @@ def _bench_workload(args) -> int:
     setup = ExperimentSetup(
         scale=args.scale, trace_count=args.traces, invocations=args.invocations
     )
-    workload = make_workload(args.benchmark, setup.scale)
-    env = calibrate_environment(measure_precise_cycles(workload), setup)
-    reference = workload.decoded_reference()
-    baseline = run_benchmark(workload, "precise", None, args.runtime, setup, env, reference)
+    workload = worker_workload(args.benchmark, setup.scale)
+    baseline = run_benchmark(workload, "precise", None, args.runtime, setup)
     for bits in (8, 4):
-        wn = run_benchmark(workload, workload.technique, bits, args.runtime, setup, env, reference)
+        wn = run_benchmark(workload, workload.technique, bits, args.runtime, setup)
         accuracy = wn.median_accuracy
         acc_part = "" if accuracy is None else f", top-1 accuracy {accuracy:.3f}"
         print(

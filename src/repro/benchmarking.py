@@ -7,8 +7,11 @@ multiplies + skim points) and Home SWV 8-bit (the vector-add technique)
 and a machine-normalized rate.
 
 Normalization: absolute instr/s numbers are machine-dependent, so the
-harness first times a fixed pure-Python integer loop (the "machine
-score") and stores each rate divided by it. The CI speed smoke
+harness times a fixed pure-Python integer loop (the "machine score")
+and stores each rate divided by it. Each rep of a config times the
+loop in slices interleaved with its fast-CPU runs and divides the
+rep's rate by that rep's score, so host load moves the two together;
+the stored figure is the median over reps. The CI speed smoke
 (``python -m repro bench --check``) recomputes the normalized fast-CPU
 rate and fails on a >30% regression against the committed
 ``BENCH_interp.json``, independent of which runner executed it.
@@ -21,11 +24,10 @@ import os
 import statistics
 import time
 from pathlib import Path
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
-from .core import AnytimeConfig, AnytimeKernel
+from .core import AnytimeKernel
 from .sim import ReferenceCPU
-from .workloads import make_workload
 
 #: (workload, mode, bits) builds the harness times, at default scale.
 BENCH_CONFIGS = (
@@ -64,43 +66,77 @@ NN_GRID_RUNTIME = "progress"
 
 _MACHINE_LOOP_ITERS = 2_000_000
 
+#: Slices of the machine loop interleaved with one rep's timed fast-CPU
+#: runs: each run follows a slice, so a host that changes speed
+#: during the rep moves the rate and the score together.
+_SCORE_SLICES = 8
+
+
+def _loop_seconds(start: int, stop: int) -> float:
+    """Seconds the machine loop takes over iterations ``[start, stop)``."""
+    mask = 0xFFFFFFFF
+    acc = 0
+    begin = time.perf_counter()
+    for i in range(start, stop):
+        acc = (acc + i * i) & mask
+    return time.perf_counter() - begin
+
 
 def machine_score() -> float:
     """Iterations/second of a fixed integer loop — the machine baseline."""
-    mask = 0xFFFFFFFF
-    acc = 0
+    return _MACHINE_LOOP_ITERS / _loop_seconds(0, _MACHINE_LOOP_ITERS)
+
+
+def _run_seconds(kernel: AnytimeKernel, inputs, cpu_cls) -> Tuple[int, float]:
+    """Instructions and seconds of one full run."""
+    cpu = kernel.make_cpu(inputs, cpu_cls=cpu_cls)
     start = time.perf_counter()
-    for i in range(_MACHINE_LOOP_ITERS):
-        acc = (acc + i * i) & mask
-    elapsed = time.perf_counter() - start
-    return _MACHINE_LOOP_ITERS / elapsed
+    cpu.run()
+    return cpu.stats.instructions, time.perf_counter() - start
 
 
-def _measure_rate(kernel: AnytimeKernel, inputs, cpu_cls, reps: int) -> float:
-    """Median instructions/second over ``reps`` full runs."""
-    rates: List[float] = []
-    for _ in range(reps):
-        cpu = kernel.make_cpu(inputs, cpu_cls=cpu_cls)
-        start = time.perf_counter()
-        cpu.run()
-        elapsed = time.perf_counter() - start
-        rates.append(cpu.stats.instructions / elapsed)
-    return statistics.median(rates)
+def _scored_rate(kernel: AnytimeKernel, inputs, cpu_cls) -> Tuple[float, float]:
+    """Instructions/second of ``_SCORE_SLICES`` full runs, and the
+    machine score of the whole machine loop, timed in slices between
+    them."""
+    step = _MACHINE_LOOP_ITERS // _SCORE_SLICES
+    loop_s = run_s = 0.0
+    instructions = 0
+    for start in range(0, _MACHINE_LOOP_ITERS, step):
+        loop_s += _loop_seconds(start, start + step)
+        count, seconds = _run_seconds(kernel, inputs, cpu_cls)
+        instructions += count
+        run_s += seconds
+    return instructions / run_s, _MACHINE_LOOP_ITERS / loop_s
 
 
 def run_bench(reps: int = 5, scale: str = "default") -> dict:
-    """Time every config; returns the BENCH_interp.json payload."""
-    score = machine_score()
+    """Time every config; returns the BENCH_interp.json payload.
+
+    Each config's rates are medians over ``reps`` reps;
+    ``machine_ops_per_s`` is the median of every rep's score."""
+    from .experiments.common import worker_build, worker_workload
+
+    all_scores: List[float] = []
     configs = []
     for name, mode, bits in BENCH_CONFIGS:
-        workload = make_workload(name, scale)
-        kernel = AnytimeKernel(workload.kernel, AnytimeConfig(mode=mode, bits=bits))
+        workload = worker_workload(name, scale)
+        kernel = worker_build(workload, mode, bits).kernel
         probe = kernel.make_cpu(workload.inputs)
         probe.run()
         instructions = probe.stats.instructions
 
-        fast = _measure_rate(kernel, workload.inputs, type(probe), reps)
-        ref = _measure_rate(kernel, workload.inputs, ReferenceCPU, reps)
+        scored = [
+            _scored_rate(kernel, workload.inputs, type(probe)) for _ in range(reps)
+        ]
+        all_scores.extend(score for _rate, score in scored)
+        fast = statistics.median(rate for rate, _score in scored)
+        ref = statistics.median(
+            count / seconds for count, seconds in (
+                _run_seconds(kernel, workload.inputs, ReferenceCPU)
+                for _ in range(reps)
+            )
+        )
         configs.append(
             {
                 "workload": name,
@@ -111,13 +147,16 @@ def run_bench(reps: int = 5, scale: str = "default") -> dict:
                 "reference_instr_per_s": round(ref, 1),
                 "fast_instr_per_s": round(fast, 1),
                 "speedup": round(fast / ref, 3),
-                # Machine-independent: fast instr/s per machine-loop op/s.
-                "normalized_fast": round(fast / score, 6),
+                # Machine-independent: fast instr/s per machine-loop
+                # op/s, each rep over the score timed beside its runs.
+                "normalized_fast": round(statistics.median(
+                    rate / score for rate, score in scored
+                ), 6),
             }
         )
     return {
         "schema": 1,
-        "machine_ops_per_s": round(score, 1),
+        "machine_ops_per_s": round(statistics.median(all_scores), 1),
         "reps": reps,
         "configs": configs,
     }
@@ -355,16 +394,14 @@ def run_grid_bench(reps: int = 3, scale: str = "default") -> dict:
 
     from .experiments.common import (
         ExperimentSetup,
-        _cache_record,
         _run_sample,
         _sample_specs,
-        _worker_cache,
-        build_anytime,
         calibrate_environment,
         measure_precise_cycles,
         run_benchmark,
+        worker_build,
+        worker_workload,
     )
-    from .sim.replay import record_run
     from .store.cas import STORE_ENV
 
     score = machine_score()
@@ -372,24 +409,21 @@ def run_grid_bench(reps: int = 3, scale: str = "default") -> dict:
 
     def grid(name: str, runtime: str):
         """The grid's workload and its interpreter and replay passes."""
-        workload = make_workload(name, scale)
+        workload = worker_workload(name, scale)
         environment = calibrate_environment(measure_precise_cycles(workload), setup)
-        reference = workload.decoded_reference()
         configs = [("precise", None), (workload.technique, 8), (workload.technique, 4)]
 
         def interp_pass():
             return [
                 [_run_sample(spec) for spec in _sample_specs(
-                    workload, mode, bits, runtime, setup, environment, reference,
+                    workload, mode, bits, runtime, setup, environment, None,
                 )]
                 for mode, bits in configs
             ]
 
         def replay_pass():
             return [
-                run_benchmark(
-                    workload, mode, bits, runtime, setup, environment, reference,
-                ).runs
+                run_benchmark(workload, mode, bits, runtime, setup, environment).runs
                 for mode, bits in configs
             ]
 
@@ -399,16 +433,11 @@ def run_grid_bench(reps: int = 3, scale: str = "default") -> dict:
     samples = len(configs) * setup.trace_count * setup.invocations
 
     def build_records():
-        # A fresh log per config each rep, paired with the kernel the
-        # warm-up pass cached, so the replay passes find it.
+        # A fresh log per config each rep, beside the kernel the warm-up
+        # pass cached, so the replay passes find it.
         for mode, bits in configs:
-            kkey = (workload.name, workload.scale, mode, bits)
-            entry = _worker_cache.get(kkey)
-            kernel = (
-                build_anytime(workload, mode, bits) if entry is None
-                else entry.kernel
-            )
-            _cache_record(kkey, kernel, record_run(kernel, workload.inputs))
+            worker_build(workload, mode, bits).record = None
+            worker_build(workload, mode, bits, recorded=True)
 
     saved_store = os.environ.pop(STORE_ENV, None)
     try:

@@ -52,6 +52,8 @@ from .ir import (
     SubwordLoad,
     Var,
     VecOp,
+    walk_exprs,
+    walk_statements,
 )
 
 #: First usable register; R13-R15 are SP/LR/PC.
@@ -187,7 +189,7 @@ class _RegisterFilePlan:
         names: List[str] = []
         names.extend(kernel.arrays)
         names.extend(kernel.scalars)
-        for stmt in _walk(kernel.body):
+        for stmt in walk_statements(kernel.body):
             if isinstance(stmt, Loop) and stmt.var not in names:
                 names.append(stmt.var)
         if len(names) > NUM_ALLOCATABLE - 3:
@@ -200,13 +202,6 @@ class _RegisterFilePlan:
 
     def reg_of(self, name: str) -> int:
         return self.pinned[name]
-
-
-def _walk(body):
-    for stmt in body:
-        yield stmt
-        if isinstance(stmt, Loop):
-            yield from _walk(stmt.body)
 
 
 class CodeGenerator:
@@ -313,7 +308,7 @@ class CodeGenerator:
         counts: Dict[tuple, int] = {}
         exprs = [stmt.expr] if isinstance(stmt, (Assign, Store)) else []
         for expr in exprs:
-            for node in walk_exprs_local(expr):
+            for node in walk_exprs(expr):
                 key = _load_key(node)
                 if key is not None:
                     counts[key] = counts.get(key, 0) + 1
@@ -833,13 +828,6 @@ def _load_key(node: Expr):
     return None
 
 
-def walk_exprs_local(expr: Expr):
-    """Re-export of the IR walker (local alias for the CSE scan)."""
-    from .ir import walk_exprs
-
-    return walk_exprs(expr)
-
-
 def _expr_key(expr: Expr) -> str:
     """Canonical structural key for loop-invariant expressions."""
     if isinstance(expr, Const):
@@ -912,15 +900,11 @@ def _mul_expr(expr: Expr, factor: int) -> Expr:
 
 
 def _mentions(expr: Expr, var: str) -> bool:
-    from .ir import walk_exprs
-
     return any(isinstance(n, Var) and n.name == var for n in walk_exprs(expr))
 
 
 def _memory_accesses(body):
     """Yield (array, index) for every Load/SubwordLoad/Store in a flat body."""
-    from .ir import walk_exprs
-
     for stmt in body:
         exprs = []
         if isinstance(stmt, Assign):
@@ -943,10 +927,6 @@ def _match_affine(access, loop_var: str, kernel: Kernel, assigned_vars) -> Optio
     if stride == 0:
         return None  # loop-invariant: no bump needed
     # The rest must be loop-invariant: free of scalars assigned in the body.
-    if _expr_key(rest) != _expr_key(rest):  # pragma: no cover - sanity
-        return None
-    from .ir import walk_exprs
-
     for node in walk_exprs(rest):
         if isinstance(node, Var) and node.name in assigned_vars:
             return None

@@ -284,11 +284,11 @@ class Kernel:
     def validate(self) -> None:
         """Check that the body only references declared arrays/scalars."""
         declared = set(self.scalars)
-        for stmt in _walk_statements(self.body):
+        for stmt in walk_statements(self.body):
             if isinstance(stmt, Loop):
                 declared.add(stmt.var)
-        for stmt in _walk_statements(self.body):
-            for expr in _walk_statement_exprs(stmt):
+        for stmt in walk_statements(self.body):
+            for expr in walk_statement_exprs(stmt):
                 if isinstance(expr, Var) and expr.name not in declared:
                     raise ValueError(f"undeclared scalar {expr.name!r} in {self.name}")
                 if isinstance(expr, (Load, SubwordLoad)) and expr.array not in self.arrays:
@@ -299,14 +299,17 @@ class Kernel:
                 raise ValueError(f"assignment to undeclared scalar {stmt.var!r}")
 
 
-def _walk_statements(body: Sequence[Stmt]):
+def walk_statements(body: Sequence[Stmt]):
+    """Yield every statement of ``body``, each loop before its body."""
     for stmt in body:
         yield stmt
         if isinstance(stmt, Loop):
-            yield from _walk_statements(stmt.body)
+            yield from walk_statements(stmt.body)
 
 
-def _walk_statement_exprs(stmt: Stmt):
+def walk_statement_exprs(stmt: Stmt):
+    """Yield every expression node of one statement (not of a loop's
+    body): an assignment's value; a store's index, then its value."""
     if isinstance(stmt, Assign):
         yield from walk_exprs(stmt.expr)
     elif isinstance(stmt, Store):

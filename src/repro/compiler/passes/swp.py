@@ -44,6 +44,8 @@ from ..ir import (
     SubwordLoad,
     Var,
     walk_exprs,
+    walk_statement_exprs,
+    walk_statements,
 )
 
 
@@ -158,12 +160,11 @@ def _find_target_loop(body: List[Stmt], targets: Set[str]) -> Optional[int]:
 
 
 def _loop_has_candidate(loop: Loop, targets: Set[str]) -> bool:
-    for stmt in _iter_statements(loop.body):
-        for expr in _statement_exprs(stmt):
-            for node in walk_exprs(expr):
-                if _is_candidate_mul(node, targets):
-                    return True
-    return False
+    return any(
+        _is_candidate_mul(node, targets)
+        for stmt in walk_statements(loop.body)
+        for node in walk_statement_exprs(stmt)
+    )
 
 
 def _is_candidate_mul(node: Expr, targets: Set[str]) -> bool:
@@ -175,21 +176,6 @@ def _is_candidate_mul(node: Expr, targets: Set[str]) -> bool:
             or (isinstance(node.lhs, Load) and node.lhs.array in targets)
         )
     )
-
-
-def _iter_statements(body):
-    for stmt in body:
-        yield stmt
-        if isinstance(stmt, Loop):
-            yield from _iter_statements(stmt.body)
-
-
-def _statement_exprs(stmt: Stmt):
-    if isinstance(stmt, Assign):
-        yield stmt.expr
-    elif isinstance(stmt, Store):
-        yield stmt.index
-        yield stmt.expr
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +246,7 @@ def _tainted_vars(loop: Loop) -> Set[str]:
     changed = True
     while changed:
         changed = False
-        for stmt in _iter_statements(loop.body):
+        for stmt in walk_statements(loop.body):
             if isinstance(stmt, Assign):
                 if _contains_mul_asp(stmt.expr) or (_expr_vars(stmt.expr) & tainted):
                     if stmt.var not in tainted:
@@ -278,7 +264,7 @@ def _phase_local_vars(loop: Loop) -> Set[str]:
     from)."""
     return {
         stmt.var
-        for stmt in _iter_statements(loop.body)
+        for stmt in walk_statements(loop.body)
         if isinstance(stmt, Assign) and isinstance(stmt.expr, Const)
     }
 
@@ -323,7 +309,7 @@ def _mark_accumulating_stores(loop: Loop, first_phase: bool) -> None:
         return
     tainted = _tainted_vars(loop)
     phase_local = _phase_local_vars(loop)
-    for stmt in _iter_statements(loop.body):
+    for stmt in walk_statements(loop.body):
         if isinstance(stmt, Store) and not stmt.accumulate:
             if _contains_mul_asp(stmt.expr):
                 stmt.accumulate = True

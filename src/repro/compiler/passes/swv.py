@@ -45,6 +45,7 @@ from ..ir import (
     Var,
     VecOp,
     walk_exprs,
+    walk_statements,
 )
 
 #: Operators SWV can vectorize. + and - need the lane-cut adder; the
@@ -107,7 +108,7 @@ def _find_target_loop(body: List[Stmt], targets: Set[str]) -> Optional[int]:
 
 
 def _loop_has_candidate(loop: Loop, targets: Set[str]) -> bool:
-    for stmt in _iter_statements(loop.body):
+    for stmt in walk_statements(loop.body):
         exprs = []
         if isinstance(stmt, Assign):
             exprs = [stmt.expr]
@@ -120,13 +121,6 @@ def _loop_has_candidate(loop: Loop, targets: Set[str]) -> bool:
                 if isinstance(node, Load) and node.array in targets:
                     return True
     return False
-
-
-def _iter_statements(body):
-    for stmt in body:
-        yield stmt
-        if isinstance(stmt, Loop):
-            yield from _iter_statements(stmt.body)
 
 
 def _match_reduction(loop: Loop, targets: Set[str]) -> bool:
@@ -307,7 +301,7 @@ class _MapTransform(_SwvTransform):
 
     def _references_targets_via(self, var: str, body: List[Stmt]) -> bool:
         """True if accesses to annotated arrays are indexed by ``var``."""
-        for stmt in _iter_statements(body):
+        for stmt in walk_statements(body):
             nodes = []
             if isinstance(stmt, Store) and stmt.array in self.targets:
                 nodes.append(stmt.index)

@@ -33,6 +33,7 @@ from .common import (
     measure_precise_cycles,
     median_speedup,
     run_benchmark,
+    worker_workload,
 )
 from .report import format_table
 
@@ -132,9 +133,8 @@ def run_capacitor_sweep(
 ) -> CapacitorSweepResult:
     """More outages per input -> skim points matter more."""
     setup = setup or ExperimentSetup(trace_count=3, invocations=1)
-    workload = make_workload(benchmark, setup.scale)
+    workload = worker_workload(benchmark, setup.scale)
     precise_cycles = measure_precise_cycles(workload)
-    reference = workload.decoded_reference()
     rows: List[CapacitorSweepRow] = []
     for charges_per_run in charges:
         sweep_setup = ExperimentSetup(
@@ -145,9 +145,9 @@ def run_capacitor_sweep(
             min_swing_cycles=400,
         )
         env = calibrate_environment(precise_cycles, sweep_setup)
-        baseline = run_benchmark(workload, "precise", None, "clank", sweep_setup, env, reference)
-        wn8 = run_benchmark(workload, workload.technique, 8, "clank", sweep_setup, env, reference)
-        wn4 = run_benchmark(workload, workload.technique, 4, "clank", sweep_setup, env, reference)
+        baseline = run_benchmark(workload, "precise", None, "clank", sweep_setup, env)
+        wn8 = run_benchmark(workload, workload.technique, 8, "clank", sweep_setup, env)
+        wn4 = run_benchmark(workload, workload.technique, 4, "clank", sweep_setup, env)
         rows.append(
             CapacitorSweepRow(
                 charges_per_run=charges_per_run,
@@ -199,10 +199,8 @@ def run_watchdog_sweep(
 ) -> WatchdogSweepResult:
     """Frequent checkpoints waste cycles; rare ones waste re-execution."""
     setup = setup or ExperimentSetup(trace_count=3, invocations=1)
-    workload = make_workload(benchmark, setup.scale)
-    precise_cycles = measure_precise_cycles(workload)
-    reference = workload.decoded_reference()
-    base_env = calibrate_environment(precise_cycles, setup)
+    workload = worker_workload(benchmark, setup.scale)
+    base_env = calibrate_environment(measure_precise_cycles(workload), setup)
     rows: List[WatchdogSweepRow] = []
     for fraction in fractions:
         env = Environment(
@@ -210,7 +208,7 @@ def run_watchdog_sweep(
             watchdog_cycles=max(200, int(base_env.swing_cycles * fraction)),
             swing_cycles=base_env.swing_cycles,
         )
-        result = run_benchmark(workload, "precise", None, "clank", setup, env, reference)
+        result = run_benchmark(workload, "precise", None, "clank", setup, env)
         rows.append(
             WatchdogSweepRow(
                 watchdog_fraction=fraction,
@@ -249,13 +247,11 @@ def run_runtime_comparison(
     benchmark: str = "MatAdd",
 ) -> RuntimeComparisonResult:
     setup = setup or ExperimentSetup(trace_count=3, invocations=1)
-    workload = make_workload(benchmark, setup.scale)
-    env = calibrate_environment(measure_precise_cycles(workload), setup)
-    reference = workload.decoded_reference()
+    workload = worker_workload(benchmark, setup.scale)
     rows: Dict[str, Tuple[float, float]] = {}
     for runtime in ("clank", "hibernus", "nvp"):
-        baseline = run_benchmark(workload, "precise", None, runtime, setup, env, reference)
-        wn8 = run_benchmark(workload, workload.technique, 8, runtime, setup, env, reference)
+        baseline = run_benchmark(workload, "precise", None, runtime, setup)
+        wn8 = run_benchmark(workload, workload.technique, 8, runtime, setup)
         rows[runtime] = (baseline.median_wall_ms, median_speedup(baseline, wn8))
     return RuntimeComparisonResult(benchmark, rows)
 

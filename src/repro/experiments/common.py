@@ -93,6 +93,7 @@ class ExperimentSetup:
     max_wall_ms: int = 2_000_000
 
     def traces(self) -> List[PowerTrace]:
+        """The ``trace_count`` paper power traces this setup names."""
         return paper_traces(
             count=self.trace_count,
             duration_ms=self.trace_duration_ms,
@@ -109,6 +110,8 @@ class Environment:
     swing_cycles: int
 
     def capacitor(self) -> Capacitor:
+        """A fresh storage capacitor of this environment's size, charged
+        to 3.0 V."""
         # v_max clamped at 3.3 V: harvester front ends limit the storage
         # voltage, which keeps charge sizes uniform (one swing each).
         return Capacitor(capacitance_f=self.capacitor_f, v_initial=3.0, v_max=3.3)
@@ -174,10 +177,12 @@ class BenchmarkResult:
 
     @property
     def median_wall_ms(self) -> float:
+        """Median wall-clock time to finish one input, in ms."""
         return statistics.median(r.wall_ms for r in self.runs)
 
     @property
     def median_error(self) -> float:
+        """Median NRMSE against the reference output, in percent."""
         return statistics.median(r.error for r in self.runs)
 
     @property
@@ -188,6 +193,7 @@ class BenchmarkResult:
 
     @property
     def skim_rate(self) -> float:
+        """Fraction of samples that finished at a skim point."""
         return sum(r.skim_taken for r in self.runs) / len(self.runs)
 
     def merged_metrics(self) -> Metrics:
@@ -227,22 +233,20 @@ def build_anytime(workload: Workload, mode: str, bits: Optional[int] = None,
 def measure_precise_cycles(workload: Workload) -> int:
     """Continuous-power runtime of the precise build (the baseline).
 
-    Read off the precise build's commit log: the record lands in the
-    :data:`_worker_cache` entry the precise configuration's replay
-    groups reuse. The build runs on the interpreter when it cannot be
+    Read off the precise build's commit log in its
+    :func:`worker_build` entry, the one the precise configuration's
+    replay groups reuse, so every caller in a process shares one
+    recording. The build runs on the interpreter when it cannot be
     recorded, or for a workload without a ``scale`` (not rebuildable by
     name, so not cached)."""
     if workload.scale is None:
         kernel = build_anytime(workload, "precise")
     else:
-        kkey = (workload.name, workload.scale, "precise", None)
-        entry = _worker_cache.get(kkey)
-        if entry is None:
-            entry = _worker_cache.add(kkey, _Compiled(build_anytime(workload, "precise")))
-        kernel = entry.kernel
-        record = _record_for(kkey, kernel, workload.inputs)
+        build = worker_build(workload, "precise", recorded=True)
+        record = build.record
         if record.replayable:
             return record.cum_cost[-1]
+        kernel = build.kernel
     return kernel.run(workload.inputs).cycles
 
 
@@ -485,10 +489,9 @@ class _Compiled:
 
     __slots__ = ("kernel", "record")
 
-    def __init__(self, kernel: AnytimeKernel,
-                 record: Optional[ReplayRecord] = None) -> None:
+    def __init__(self, kernel: AnytimeKernel) -> None:
         self.kernel = kernel
-        self.record = record
+        self.record: Optional[ReplayRecord] = None
 
     def nbytes(self) -> int:
         size = (len(self.kernel.compiled.program.instructions)
@@ -508,12 +511,52 @@ class _TraceSet(list):
         return sum(trace.nbytes() for trace in self if trace is not None)
 
 
-# Per-process caches: workers in a pool handle many samples of the same
-# configuration, so the expensive rebuilds happen once per process.
-# Workloads (at most one per workload and scale) stay in a plain dict;
-# kernels, commit logs and trace sets share the byte-budgeted cache.
+# Per-process build state, owned here for every layer of the process
+# (grids, pool workers, the service, the chaos campaign): the expensive
+# rebuilds happen once per process. Workloads (at most one per workload
+# and scale) stay in a plain dict; kernels, commit logs and trace sets
+# share the byte-budgeted cache.
 _worker_workloads: Dict[Tuple[str, str], Workload] = {}
 _worker_cache = _WorkerCache()
+
+
+def worker_workload(name: str, scale: str) -> Workload:
+    """This process's workload ``name`` at ``scale``, built on first
+    need and shared by every caller."""
+    key = (name, scale)
+    workload = _worker_workloads.get(key)
+    if workload is None:
+        from ..workloads import make_workload
+
+        # Of two threads that build at once, the first to store wins.
+        workload = _worker_workloads.setdefault(key, make_workload(name, scale))
+    return workload
+
+
+def worker_build(workload: Workload, mode: str, bits: Optional[int] = None,
+                 recorded: bool = False) -> _Compiled:
+    """The :data:`_worker_cache` entry of one (workload, scale, mode,
+    bits) configuration: its kernel, compiled on first need, and with
+    ``recorded`` its commit log, recorded on first need. An evicted
+    entry is rebuilt, never different; one evicted while a caller holds
+    it stays whole, so a kernel and its record always belong together.
+    ``workload`` must have a ``scale`` (any instance of that name and
+    scale builds the same configuration)."""
+    key = (workload.name, workload.scale, mode, bits)
+    build = _worker_cache.get(key)
+    if build is None:
+        build = _worker_cache.add(key, _Compiled(build_anytime(workload, mode, bits)))
+    if recorded and build.record is None:
+        build.record = record = record_run(build.kernel, workload.inputs)
+        _worker_cache.reaccount(key)
+        if TRACER.enabled:
+            TRACER.emit(
+                "record_run", workload=workload.name, mode=mode, bits=bits,
+                replayable=record.replayable,
+                reason=record.reason or None, length=record.length,
+                recorder=record.recorder,
+            )
+    return build
 
 
 #: Bytes one register-file backup writes (16 regs + PSR + PC, one NVM
@@ -621,32 +664,15 @@ def _sample_trace(spec: SampleSpec) -> PowerTrace:
     return trace
 
 
-def _sample_inputs(spec: SampleSpec):
-    """``(workload, reference, kernel, trace)`` for one spec.
-
-    Rebuilt from the spec through the per-process caches; the trace is
-    the spec's ``REPRO_FAULTS`` replacement when faults are armed."""
-    from ..workloads import make_workload
-
-    wkey = (spec.workload_name, spec.scale)
-    workload = _worker_workloads.get(wkey)
-    if workload is None:
-        workload = _worker_workloads[wkey] = make_workload(
-            spec.workload_name, spec.scale
-        )
+def _sample_inputs(spec: SampleSpec) -> Tuple[Workload, Sequence[float]]:
+    """``(workload, reference)`` for one spec: the process's workload
+    and the spec's reference, else the workload's own decoded output
+    (evaluated once per workload, memoized on it)."""
+    workload = worker_workload(spec.workload_name, spec.scale)
     reference = spec.reference
     if reference is None:
-        # Evaluated once per workload (memoized on it), and only when
-        # the caller did not pass its own.
         reference = workload.decoded_reference()
-
-    kkey = _kernel_key(spec)
-    entry = _worker_cache.get(kkey)
-    if entry is None:
-        entry = _worker_cache.add(
-            kkey, _Compiled(build_anytime(workload, spec.mode, spec.bits))
-        )
-    return workload, reference, entry.kernel, _sample_trace(spec)
+    return workload, reference
 
 
 def _run_args(spec: SampleSpec, trace: PowerTrace, energy: EnergyModel) -> dict:
@@ -677,7 +703,9 @@ def _emit_sample_start(spec: SampleSpec) -> None:
 def _execute_sample(spec: SampleSpec) -> SampleRun:
     """The interpreter path: rebuild the workload/kernel/trace from the
     spec (cached per process) and run it intermittently."""
-    workload, reference, kernel, trace = _sample_inputs(spec)
+    workload, reference = _sample_inputs(spec)
+    kernel = worker_build(workload, spec.mode, spec.bits).kernel
+    trace = _sample_trace(spec)
     if TRACER.enabled:
         _emit_sample_start(spec)
     energy = runtime_row(spec.runtime).energy_model()
@@ -687,38 +715,6 @@ def _execute_sample(spec: SampleSpec) -> SampleRun:
     return _finalize_sample(
         spec, run, workload, reference, trace, energy, "interp", False
     )
-
-
-def _record_for(kkey: tuple, kernel: AnytimeKernel, inputs) -> ReplayRecord:
-    """The commit log of the configuration under kernel key ``kkey``,
-    recorded once per cache residency of its kernel (an evicted pair is
-    rebuilt, never different)."""
-    entry = _worker_cache.get(kkey)
-    if entry is not None and entry.kernel is kernel and entry.record is not None:
-        return entry.record
-    record = record_run(kernel, inputs)
-    _cache_record(kkey, kernel, record)
-    if TRACER.enabled:
-        name, _scale, mode, bits = kkey
-        TRACER.emit(
-            "record_run", workload=name, mode=mode, bits=bits,
-            replayable=record.replayable,
-            reason=record.reason or None, length=record.length,
-            recorder=record.recorder,
-        )
-    return record
-
-
-def _cache_record(kkey: tuple, kernel: AnytimeKernel, record: ReplayRecord) -> None:
-    """Pair ``record`` with ``kernel`` under kernel key ``kkey`` in
-    :data:`_worker_cache`, re-adding the pair if the kernel's entry was
-    evicted. A key that now holds another kernel is left alone."""
-    entry = _worker_cache.get(kkey)
-    if entry is None:
-        _worker_cache.add(kkey, _Compiled(kernel, record))
-    elif entry.kernel is kernel:
-        entry.record = record
-        _worker_cache.reaccount(kkey)
 
 
 def _finalize_sample(
@@ -787,11 +783,12 @@ def _run_config_group(specs: List[SampleSpec]) -> List[SampleRun]:
 
     def replay(group: List[SampleSpec]) -> List[SampleRun]:
         first = group[0]
-        workload, reference, kernel, _trace = _sample_inputs(first)
+        workload, reference = _sample_inputs(first)
         traces = [_sample_trace(spec) for spec in group]
         if TRACER.enabled:
             _emit_sample_start(first)
-        record = _record_for(_kernel_key(first), kernel, workload.inputs)
+        build = worker_build(workload, first.mode, first.bits, recorded=True)
+        kernel, record = build.kernel, build.record
         if PROFILER.enabled and record.replayable and first is specs[0]:
             # One folded profile per configuration (the replayed
             # samples all consume this same recorded stream).

@@ -15,14 +15,13 @@ import statistics
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..workloads import BENCHMARKS, NN_BENCHMARKS, make_workload
+from ..workloads import BENCHMARKS, NN_BENCHMARKS
 from .common import (
     BenchmarkResult,
     ExperimentSetup,
-    calibrate_environment,
-    measure_precise_cycles,
     median_speedup,
     run_benchmark_suite,
+    worker_workload,
 )
 from .report import format_table
 
@@ -111,13 +110,11 @@ def run_speedup_experiment(
     setup = setup or ExperimentSetup()
     result = SpeedupResult(runtime=runtime, rows=[])
     for name in benchmarks:
-        workload = make_workload(name, setup.scale)
-        environment = calibrate_environment(measure_precise_cycles(workload), setup)
-        reference = workload.decoded_reference()
+        workload = worker_workload(name, setup.scale)
         baseline, wn8, wn4 = run_benchmark_suite(
             workload,
             [("precise", None), (workload.technique, 8), (workload.technique, 4)],
-            runtime, setup, environment, reference,
+            runtime, setup,
         )
         result.raw[(name, "precise")] = baseline
         result.raw[(name, "8bit")] = wn8

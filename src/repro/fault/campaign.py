@@ -4,7 +4,11 @@ A campaign is a pure function of its seed: scenario parameters, fuzzed
 traces and injected faults all derive from one ``random.Random(seed)``,
 and the report contains no timestamps or environment-dependent fields,
 so the same seed produces a byte-identical JSON report on every run
-(asserted in ``tests/test_chaos_campaign.py``).
+(asserted in ``tests/test_chaos_campaign.py``). Scenarios run the
+tiny-scale workloads and kernels of the harness's per-process caches
+(:func:`~repro.experiments.common.worker_build`), so a campaign shares
+each (workload, mode) build with every grid of the process instead of
+compiling its own.
 
 Outcome classes:
 
@@ -24,14 +28,14 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..core.anytime import AnytimeConfig, AnytimeKernel
+from ..core.anytime import AnytimeKernel
 from ..errors import ConsistencyViolation, ProgressStall, ReproError
+from ..experiments.common import worker_build, worker_workload
 from ..observability.tracer import TRACER
 from ..power.capacitor import Capacitor
 from ..runtime.executor import IntermittentExecutor
 from ..runtime.table import RUNTIME_NAMES, RuntimeRow, runtime_row
 from ..sim.cpu import CpuFault
-from ..workloads import make_workload
 from .fuzz import burst_outage_trace, knife_edge_trace
 from .injectors import ChaosController, ChaosSupply
 from .mutants import MUTANTS
@@ -154,29 +158,22 @@ def _random_plan(rng: random.Random) -> FaultPlan:
 
 
 class _Caches:
-    """Per-campaign caches: workloads, kernels and golden bundles are
-    deterministic, so each (workload, mode) is built once."""
+    """Per-campaign golden bundles, one per (workload, mode). Workloads
+    and kernels come from the harness's per-process caches, which every
+    campaign (and every grid) in the process shares."""
 
     def __init__(self):
-        self.workloads: Dict[str, object] = {}
-        self.kernels: Dict[Tuple[str, str], AnytimeKernel] = {}
         self.goldens: Dict[Tuple[str, str], GoldenBundle] = {}
 
     def resolve(self, workload_name: str, mode: str):
         """(workload, kernel, golden) for one scenario."""
-        if workload_name not in self.workloads:
-            self.workloads[workload_name] = make_workload(workload_name, "tiny")
-        workload = self.workloads[workload_name]
+        workload = worker_workload(workload_name, "tiny")
         actual_mode = "precise" if mode == "precise" else workload.technique
+        kernel = worker_build(workload, actual_mode).kernel
         key = (workload_name, actual_mode)
-        if key not in self.kernels:
-            self.kernels[key] = AnytimeKernel(
-                workload.kernel, AnytimeConfig(mode=actual_mode)
-            )
-            self.goldens[key] = compute_golden(
-                self.kernels[key], workload.inputs
-            )
-        return workload, self.kernels[key], self.goldens[key]
+        if key not in self.goldens:
+            self.goldens[key] = compute_golden(kernel, workload.inputs)
+        return workload, kernel, self.goldens[key]
 
 
 def _build_runtime(row: RuntimeRow, mutant: Optional[str], kernel: AnytimeKernel):

@@ -3,24 +3,28 @@
 :func:`normalize` validates a submitted spec and :func:`prepared` looks
 its context up; both are cheap and run on the event loop. The rest runs
 in the service's worker threads: :func:`prepare` rejects jobs that
-cannot compile and does the (cached) calibration work needed to
-fingerprint a job, and :func:`compute` evaluates a cache miss on the
-replay engine (one commit-log walk for the whole trace x invocation
-grid), sending any sample it cannot reproduce exactly to the
-interpreter, as every harness grid does. Results are therefore
-bit-identical to a serial CLI run of the same configuration, which is
-what lets the store serve them to everyone.
+cannot compile and does the calibration work needed to fingerprint a
+job, and :func:`compute` evaluates a cache miss on the replay engine
+(one commit-log walk for the whole trace x invocation grid), sending
+any sample it cannot reproduce exactly to the interpreter, as every
+harness grid does. Results are therefore bit-identical to a serial CLI
+run of the same configuration, which is what lets the store serve them
+to everyone.
 
-:func:`prepare` keeps each context it builds in the process's
-byte-budgeted ``_worker_cache``, keyed by the normalized spec, so a
-job the process has prepared before is not prepared again.
+The service keeps no build state of its own: workloads, kernels and
+commit logs come from the harness's per-process caches
+(:func:`~repro.experiments.common.worker_workload` and
+:func:`~repro.experiments.common.worker_build`), which the offline
+grids of the same process share. :func:`prepare` keeps each context it
+builds in the same byte-budgeted ``_worker_cache``, keyed by the
+normalized spec, so a job the process has prepared before is not
+prepared again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from threading import Lock
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Optional
 
 from ..compiler.passes.swv import SWV_WIDTHS
 from ..experiments.common import (
@@ -35,19 +39,11 @@ from ..experiments.common import (
     _worker_cache,
     calibrate_environment,
     measure_precise_cycles,
+    worker_workload,
 )
 from ..store.cas import config_fingerprint
-from ..workloads import make_workload
 from ..workloads.base import Workload
 from .protocol import JobSpec
-
-#: Per-process cache of each workload's continuous-power precise cycle
-#: count — the expensive half of calibration, independent of the grid
-#: shape, so one measurement serves every job on that workload.
-_precise_cycles: Dict[Tuple[str, str], int] = {}
-_workloads: Dict[Tuple[str, str], Workload] = {}
-_cache_lock = Lock()
-
 
 #: Bytes one memoized :class:`JobContext` retains in ``_worker_cache``,
 #: its cache entry included but not its workload, which every context
@@ -97,20 +93,15 @@ def prepare(spec: JobSpec) -> JobContext:
 
     Normalizes the spec (:func:`normalize`), and rejects a mode the
     workload's technique cannot compile and SWV bits the compiler
-    cannot pack (before the server journals the job). Records the
-    workload's precise build once (cached per process) to size the
-    storage capacitor — the same calibration every experiment module
-    performs — so the fingerprint matches what a direct
-    :func:`~repro.experiments.common.run_benchmark` of the same
+    cannot pack (before the server journals the job). Sizes the storage
+    capacitor from the precise build's cycle count — the same
+    calibration every experiment module performs, read off the precise
+    record the process has cached — so the fingerprint matches what a
+    direct :func:`~repro.experiments.common.run_benchmark` of the same
     configuration would use. The context is kept for :func:`prepared`;
     a spec this rejects is never kept."""
     spec = normalize(spec)
-    wkey = (spec.workload, spec.scale)
-    with _cache_lock:
-        workload = _workloads.get(wkey)
-        if workload is None:
-            workload = _workloads[wkey] = make_workload(spec.workload, spec.scale)
-        cycles = _precise_cycles.get(wkey)
+    workload = worker_workload(spec.workload, spec.scale)
     if spec.mode not in ("precise", workload.technique):
         raise ValueError(
             f"{spec.workload} is a {workload.technique} kernel; "
@@ -121,12 +112,8 @@ def prepare(spec: JobSpec) -> JobContext:
             f"invalid bits {spec.bits!r} for mode 'swv' "
             f"(SWV packs {' or '.join(map(str, SWV_WIDTHS))}-bit subwords)"
         )
-    if cycles is None:
-        cycles = measure_precise_cycles(workload)
-        with _cache_lock:
-            _precise_cycles[wkey] = cycles
     setup = spec.setup()
-    environment = calibrate_environment(cycles, setup)
+    environment = calibrate_environment(measure_precise_cycles(workload), setup)
     fingerprint = config_fingerprint(
         spec.workload, spec.scale, spec.mode, spec.bits, spec.runtime,
         setup, environment,

@@ -47,10 +47,11 @@ Hardening (all typed, none fatal to the process):
   and unlinked when dead — but binding over a *live* server raises
   :class:`~repro.errors.SocketInUseError` instead of hijacking it.
 
-Compute runs in a thread pool so the event loop stays responsive; the
-heavy lifting inside a job can itself fan out over processes via the
-existing ``REPRO_JOBS`` machinery, which worker threads inherit from
-the server's environment.
+Compute runs in a thread pool so the event loop stays responsive. A
+job's one configuration runs in its pool thread, as one commit-log
+walk (:func:`repro.service.jobs.compute`); ``REPRO_JOBS`` does not
+apply, because it shards a grid by configuration and a job has only
+one.
 """
 
 from __future__ import annotations

@@ -302,11 +302,9 @@ class TestConcurrentGroups:
         from dataclasses import replace
 
         from repro.experiments.common import (
-            _kernel_key,
-            _record_for,
             _run_config_group,
-            _sample_inputs,
             _sample_specs,
+            worker_build,
         )
 
         _serial_env(monkeypatch)
@@ -323,15 +321,13 @@ class TestConcurrentGroups:
             )
         ]
         serial = [_run_config_group(specs) for specs in jobs]
-        first = jobs[0][0]
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _trial in range(10):
                 # One fresh record, shared by all four jobs.
                 _worker_cache.clear()
-                shared, _, kernel, _ = _sample_inputs(first)
-                _record_for(_kernel_key(first), kernel, shared.inputs)
+                record = worker_build(workload, "swp", 4, recorded=True).record
                 with ThreadPoolExecutor(max_workers=2) as pool:
                     futures = [
                         pool.submit(_run_config_group, specs) for specs in jobs
@@ -339,6 +335,7 @@ class TestConcurrentGroups:
                     results = [future.result(timeout=120)
                                for future in futures]
                 assert results == serial
+                assert worker_build(workload, "swp", 4).record is record
         finally:
             sys.setswitchinterval(switch)
             _worker_cache.clear()

@@ -128,6 +128,30 @@ class TestOracle:
         return workload, kernel, golden
 
 
+class TestHarnessBuilds:
+    def test_scenario_compiles_nothing_the_harness_built(self, monkeypatch):
+        """The campaign runs the kernel the harness has cached for its
+        (workload, mode) instead of compiling its own."""
+        from repro.core import anytime
+        from repro.experiments import common
+        from repro.experiments.common import measure_precise_cycles
+        from repro.workloads import make_workload
+
+        measure_precise_cycles(make_workload("Home", "tiny"))
+        cached = common._worker_cache.get(("Home", "tiny", "precise", None))
+        compiled = []
+        compile_kernel = anytime.compile_kernel
+        monkeypatch.setattr(
+            anytime, "compile_kernel",
+            lambda kernel: compiled.append(kernel) or compile_kernel(kernel),
+        )
+        caches = _Caches()
+        row = run_scenario(scenario_with(FaultPlan()), caches=caches)
+        assert row["outcome"] == "completed", row
+        assert compiled == []
+        assert caches.resolve("Home", "precise")[1] is cached.kernel
+
+
 class TestRestoreEdgeCases:
     """The nasty corners the satellite checklist names explicitly."""
 

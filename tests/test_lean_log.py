@@ -16,7 +16,8 @@ feeds:
   position, and so does the record's memoized, clamped WAR query;
 * the initial image keeps exactly its nonzero pages;
 * calibration read off the precise build's log equals
-  ``AnytimeKernel.run`` on every precise build;
+  ``AnytimeKernel.run`` on every precise build, and the log's decoded
+  final outputs equal the IR interpreter's reference exactly;
 * threads materializing on their own region buffers, alternating across
   two shared records, equal a serial run.
 """
@@ -200,6 +201,10 @@ class TestCalibrationOnTheLog:
         entry = _worker_cache.get((name, scale, "precise", None))
         assert entry.record.replayable
         assert entry.record.cum_cost[-1] == cycles
+        # The compiled precise build computes exactly what the IR does.
+        assert workload.decode(entry.record.final_outputs) == (
+            workload.decoded_reference()
+        )
 
 
 class TestSparseImage:

@@ -195,10 +195,7 @@ class TestTraceRoundTrip:
         stub.reason = "synthetic test poison"
         common._worker_cache.clear()
         for mode, bits in (("precise", None), ("swp", 8)):
-            common._cache_record(
-                ("MatMul", "tiny", mode, bits),
-                common.build_anytime(workload, mode, bits), stub,
-            )
+            common.worker_build(workload, mode, bits).record = stub
         try:
             path = tmp_path / "fallback.jsonl"
             TRACER.enable(str(path))

@@ -174,6 +174,26 @@ class TestPrepare:
         assert read_records(path) == []
         assert stats["computed"] == 0
 
+    def test_one_job_builds_its_workload_once(self, monkeypatch):
+        """``prepare`` and ``compute`` (preview included) share the
+        harness's workload: the service keeps no copy of its own."""
+        from repro import workloads
+        from repro.service import jobs
+
+        common._worker_workloads.clear()
+        common._worker_cache.clear()
+        built = []
+        factory = workloads._FACTORIES["Home"]
+        monkeypatch.setitem(
+            workloads._FACTORIES, "Home",
+            lambda **kwargs: built.append(kwargs) or factory(**kwargs),
+        )
+        ctx = jobs.prepare(JobSpec.from_dict(job()))
+        stages = []
+        jobs.compute(ctx, lambda stage, _payload: stages.append(stage))
+        assert stages == ["level-k"]
+        assert built == [{"scale": "tiny"}]
+
     def test_precise_jobs_ignore_bits(self):
         ctx = prepare(JobSpec.from_dict(job(workload="MatMul", mode="precise", bits=8)))
         plain = prepare(JobSpec.from_dict(job(workload="MatMul", mode="precise", bits=None)))
