@@ -513,10 +513,11 @@ class _TraceSet(list):
 
 # Per-process build state, owned here for every layer of the process
 # (grids, pool workers, the service, the chaos campaign): the expensive
-# rebuilds happen once per process. Workloads (at most one per workload
-# and scale) stay in a plain dict; kernels, commit logs and trace sets
-# share the byte-budgeted cache.
+# rebuilds happen once per process. Workloads and their reference
+# outputs (at most one each per workload and scale) stay in plain dicts;
+# kernels, commit logs and trace sets share the byte-budgeted cache.
 _worker_workloads: Dict[Tuple[str, str], Workload] = {}
+_worker_references: Dict[Tuple[str, str], List[float]] = {}
 _worker_cache = _WorkerCache()
 
 
@@ -557,6 +558,30 @@ def worker_build(workload: Workload, mode: str, bits: Optional[int] = None,
                 recorder=record.recorder,
             )
     return build
+
+
+def worker_reference(workload: Workload) -> List[float]:
+    """The workload's reference output: the precise build's decoded
+    outputs, read off its commit log (:func:`worker_build`, which
+    calibration fills anyway) instead of evaluating the IR, and
+    memoized per (name, scale). Returns a copy.
+
+    A workload without a ``scale``, or one whose precise record is not
+    replayable, falls back to :meth:`Workload.decoded_reference`, the
+    IR's answer. Both agree wherever both exist
+    (``tests/test_lean_log.py``)."""
+    if workload.scale is None:
+        return workload.decoded_reference()
+    key = (workload.name, workload.scale)
+    reference = _worker_references.get(key)
+    if reference is None:
+        record = worker_build(workload, "precise", recorded=True).record
+        if record.replayable:
+            reference = workload.decode(record.final_outputs)
+        else:
+            reference = workload.decoded_reference()
+        reference = _worker_references.setdefault(key, reference)
+    return list(reference)
 
 
 #: Bytes one register-file backup writes (16 regs + PSR + PC, one NVM
@@ -666,12 +691,12 @@ def _sample_trace(spec: SampleSpec) -> PowerTrace:
 
 def _sample_inputs(spec: SampleSpec) -> Tuple[Workload, Sequence[float]]:
     """``(workload, reference)`` for one spec: the process's workload
-    and the spec's reference, else the workload's own decoded output
-    (evaluated once per workload, memoized on it)."""
+    and the spec's reference, else the workload's own
+    :func:`worker_reference`."""
     workload = worker_workload(spec.workload_name, spec.scale)
     reference = spec.reference
     if reference is None:
-        reference = workload.decoded_reference()
+        reference = worker_reference(workload)
     return workload, reference
 
 
@@ -1051,7 +1076,7 @@ def _fingerprint_reference(
     samples, so only a genuine override feeds the digest."""
     if reference is None:
         return None
-    if list(reference) == list(workload.decoded_reference()):
+    if list(reference) == worker_reference(workload):
         return None
     return reference
 
@@ -1099,7 +1124,7 @@ def run_benchmark_suite(
     if environment is None:
         environment = calibrate_environment(measure_precise_cycles(workload), setup)
     if reference is None:
-        reference = workload.decoded_reference()
+        reference = worker_reference(workload)
     jobs = experiment_jobs()
     store = experiment_store()
     fp_reference = (

@@ -182,9 +182,3 @@ class ProgressReplayPolicy(ClankReplayPolicy):
         )
         self.output_positions = list(output_positions)
         self.commit_cycles = commit_cycles
-
-    def _progress_commit(self) -> int:
-        """Book one cheap progress commit; returns its cost."""
-        extra = self.stats.extra
-        extra["progress_commits"] = extra.get("progress_commits", 0) + 1
-        return self.commit_cycles

@@ -21,6 +21,8 @@ from __future__ import annotations
 import struct
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 NVM_BASE = 0x0000_0000
 NVM_SIZE = 1 << 20
 SRAM_BASE = 0x2000_0000
@@ -34,17 +36,10 @@ class MemoryError_(Exception):
     """Raised on out-of-range or misaligned accesses."""
 
 
-#: Shared all-zero blocks for Region.clear(), keyed by size. A handful
-#: of distinct region sizes exist per process, so this costs one block
-#: per size while letting clear() be a single memcpy-style slice fill.
-_ZERO_BLOCKS: Dict[int, bytes] = {}
-
-
-def _zero_block(size: int) -> bytes:
-    block = _ZERO_BLOCKS.get(size)
-    if block is None:
-        block = _ZERO_BLOCKS[size] = bytes(size)
-    return block
+def _zero_fill(buffer: bytearray) -> None:
+    """Zero ``buffer`` in place with a write-only fill, which reads no
+    source and needs no block of zeros."""
+    np.frombuffer(buffer, np.uint8).fill(0)
 
 
 class Region:
@@ -71,7 +66,7 @@ class Region:
         # Zero in place: decoded handlers and bulk helpers may hold a
         # reference to ``data``, and an outage must wipe the bytes they
         # see, not swap in a fresh buffer behind their backs.
-        self.data[:] = _zero_block(self.size)
+        _zero_fill(self.data)
 
 
 class Memory:

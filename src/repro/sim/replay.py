@@ -64,7 +64,7 @@ from . import native
 from .batch_replay import BatchIndex
 from .cpu import CPU
 from .decode import decode_program
-from .memory import _zero_block
+from .memory import _zero_fill
 
 #: Instructions between architectural keyframes. Reconstructing the
 #: state at an arbitrary position (the skim handoff does this once per
@@ -91,6 +91,8 @@ _PAGE_SHIFT = SNAPSHOT_PAGE.bit_length() - 1
 #: Pages compared with zeros at once when finding an image's nonzero
 #: pages; only a block that is not all zero is split into pages.
 _SCAN_BLOCK = 64 * SNAPSHOT_PAGE
+_BLOCK_ZEROS = bytes(_SCAN_BLOCK)
+_PAGE_ZEROS = bytes(SNAPSHOT_PAGE)
 
 #: Byte estimates for :meth:`ReplayRecord.nbytes`. Measured with
 #: tracemalloc on default-scale MatMul precise, Conv2d swp-4, MLP swp-4
@@ -429,19 +431,17 @@ def _nonzero_pages(regions) -> List[Tuple[int, int, bytes]]:
     regions holding a nonzero byte. Whole blocks of pages are compared
     with zeros first, so a mostly zero image costs a few dozen compares."""
     pages = []
-    block_zeros = _zero_block(_SCAN_BLOCK)
-    page_zeros = _zero_block(SNAPSHOT_PAGE)
     for i, region in enumerate(regions):
         if region.device is not None:
             continue
         data = region.data
         for start in range(0, len(data), _SCAN_BLOCK):
             block = data[start:start + _SCAN_BLOCK]
-            if block == block_zeros[:len(block)]:
+            if block == _BLOCK_ZEROS[:len(block)]:
                 continue
             for offset in range(start, start + len(block), SNAPSHOT_PAGE):
                 page = data[offset:offset + SNAPSHOT_PAGE]
-                if page != page_zeros[:len(page)]:
+                if page != _PAGE_ZEROS[:len(page)]:
                     pages.append((i, offset, bytes(page)))
     return pages
 
@@ -449,7 +449,12 @@ def _nonzero_pages(regions) -> List[Tuple[int, int, bytes]]:
 def _attach_thread_buffers(regions) -> None:
     """Point each RAM region at the calling thread's zeroed buffer for
     its slot and size, so a thread holds one set of region buffers
-    however many records it materializes."""
+    however many records it materializes.
+
+    A reused buffer is zeroed whole, by a write-only fill. Zeroing only
+    the pages the last materialization dirtied would also have to cover
+    the stores of a skim handoff's live suffix, which the log does not
+    hold."""
     buffers = _THREAD.__dict__.setdefault("buffers", {})
     for i, region in enumerate(regions):
         if region.device is not None:
@@ -458,7 +463,7 @@ def _attach_thread_buffers(regions) -> None:
         if buffer is None:
             buffer = buffers[(i, region.size)] = bytearray(region.size)
         else:
-            buffer[:] = _zero_block(region.size)
+            _zero_fill(buffer)
         region.data = buffer
 
 

@@ -4,10 +4,14 @@ The harness runs every grid on the replay engine; the interpreter is
 the golden model it is checked against. It is selected per sample, by
 calling ``_run_sample`` on each spec of a configuration's grid. The
 replay engine's WAR horizons come from a vectorized index; its golden
-model is the one-shot scalar scan :func:`war_scan`. Power traces are
-synthesized in bulk on numpy arrays; their golden model is the
-per-millisecond loop :func:`scalar_wifi_trace`, with the per-sample
-clamp :func:`scalar_clamp`.
+model is the one-shot scalar scan :func:`war_scan`. The Clank/progress
+chunk walk keeps its state in locals and books once per chunk; its
+golden model is the per-event loop :func:`per_event_run_chunk`. The
+off-phase charge loop reads the trace and capacitor into locals; its
+golden model is :func:`method_charge_until_on`, one method call per
+step. Power traces are synthesized in bulk on numpy arrays; their
+golden model is the per-millisecond loop :func:`scalar_wifi_trace`,
+with the per-sample clamp :func:`scalar_clamp`.
 """
 
 import math
@@ -16,6 +20,8 @@ from array import array
 from bisect import bisect_left
 
 from repro.experiments.common import _run_sample, _sample_specs
+from repro.observability.tracer import TRACER
+from repro.power.supply import SupplyExhausted
 from repro.sim.replay import _LOAD
 
 
@@ -52,6 +58,89 @@ def war_scan(record, start):
         else:
             written.update(span)
     return record.length
+
+
+def per_event_run_chunk(policy, budget):
+    """``ClankReplayPolicy.run_chunk`` one event at a time: a WAR query,
+    an output-position bisect, an ``advance`` and a skim crossing per
+    segment, and the stats booked at each commit. ``policy`` is a
+    Clank or progress replay policy; the real walk must leave the same
+    state and return the same cycles."""
+    record = policy.record
+    cum = record.cum_cost
+    n = record.length
+    cursor = policy.cursor
+    consumed = 0
+    positions = policy.output_positions
+    count = len(positions)
+    while cursor < n:
+        remaining = budget - consumed
+        if remaining <= 0:
+            break
+        limit = cursor + remaining + 1
+        if limit > n:
+            limit = n
+        war = record.next_war_before(policy.checkpoint_pos, limit)
+        out_pos = n
+        if count:
+            k = bisect_left(positions, cursor)
+            if k < count:
+                out_pos = positions[k]
+        event = war if war < out_pos else out_pos
+        stop = event if event < limit else limit
+        if cursor < stop:
+            j, cost = record.advance(cursor, stop, remaining)
+            consumed += cost
+            if j != cursor:
+                policy._cross(cursor, j)
+                cursor = j
+            if j < stop:
+                break
+        if cursor >= n or cursor != event:
+            break
+        if consumed + record.peek_costs[record.pcs[cursor]] > budget:
+            break
+        if cursor == out_pos:
+            extra = policy.stats.extra
+            extra["progress_commits"] = extra.get("progress_commits", 0) + 1
+            cause, commit = "progress", policy.commit_cycles
+        else:
+            cause, commit = "war", policy.checkpoint_cycles
+            policy.stats.war_violations += 1
+        consumed += (cum[cursor + 1] - cum[cursor]) + commit
+        policy.stats.checkpoints += 1
+        policy.stats.checkpoint_cycles += commit
+        policy.checkpoint_pos = cursor
+        policy._war_in_chunk = True
+        if TRACER.enabled:
+            TRACER.emit(
+                "checkpoint", cause=cause, cost=commit,
+                position=cursor, runtime=policy.name, engine="replay",
+            )
+        cursor += 1
+    policy.cursor = cursor
+    if cursor > policy.max_position:
+        policy.max_position = cursor
+    return consumed
+
+
+def method_charge_until_on(supply, max_ms=10_000_000):
+    """``PowerSupply.charge_until_on`` through the capacitor's and the
+    trace's methods, one call each per millisecond."""
+    if supply.on:
+        return 0
+    waited = 0
+    while not supply.capacitor.above_on_threshold:
+        supply.capacitor.harvest(supply.trace.energy_at(supply.tick))
+        supply.tick += 1
+        waited += 1
+        if waited > max_ms:
+            raise SupplyExhausted(
+                f"trace {supply.trace.name!r} cannot reach v_on within {max_ms} ms"
+            )
+    supply.total_off_ms += waited
+    supply.on = True
+    return waited
 
 
 def scalar_clamp(samples_w):

@@ -1,15 +1,18 @@
 """Unit tests for the capacitor, energy model and supply FSM."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.power import (
     Capacitor,
     EnergyModel,
     PowerSupply,
+    PowerTrace,
     SupplyExhausted,
     constant_trace,
     square_trace,
 )
+from tests.golden import method_charge_until_on
 
 
 class TestCapacitor:
@@ -176,3 +179,74 @@ class TestPowerSupply:
         assert supply.total_cycles == 100
         assert supply.total_on_ms == 1
         assert supply.elapsed_ms == supply.tick
+
+
+_POWERS = st.one_of(
+    st.just(0.0),
+    st.floats(0.0, 1e-3),
+    st.floats(0.0, 5.0),
+)
+
+
+def _supply_pair(samples, capacitance, v_max, on_frac, off_frac, v_initial,
+                 start_tick):
+    """Two supplies in the same off state on one trace."""
+    trace = PowerTrace(samples, name="drawn")
+    v_on = v_max * on_frac
+    supplies = []
+    for _ in range(2):
+        capacitor = Capacitor(
+            capacitance_f=capacitance, v_on=v_on, v_off=v_on * off_frac,
+            v_max=v_max, v_initial=v_initial,
+        )
+        supplies.append(
+            PowerSupply(trace, capacitor, EnergyModel(), start_tick=start_tick)
+        )
+    return supplies
+
+
+def _charge(charge, supply, max_ms):
+    """``(waited or exception text, tick, energy bits, off ms, on)``."""
+    try:
+        outcome = charge(supply, max_ms)
+    except SupplyExhausted as exc:
+        outcome = f"exhausted: {exc}"
+    return (
+        outcome, supply.tick, supply.capacitor.energy.hex(),
+        supply.total_off_ms, supply.on,
+    )
+
+
+class TestChargeLoopGolden:
+    """``charge_until_on`` against the per-method loop of
+    ``tests/golden.py``: the same tick, waited count and energy, bit for
+    bit, and the same dead-trace error at the same tick."""
+
+    @settings(deadline=None, max_examples=400)
+    @given(
+        samples=st.lists(_POWERS, max_size=40),
+        capacitance=st.floats(1e-7, 1e-4),
+        v_max=st.floats(0.5, 5.0),
+        on_frac=st.one_of(st.just(1.0), st.floats(0.05, 1.0)),
+        off_frac=st.floats(0.0, 0.99),
+        initial_frac=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+        start_tick=st.integers(0, 10**6),
+        max_ms=st.integers(0, 3000),
+    )
+    def test_matches_the_golden(self, samples, capacitance, v_max, on_frac,
+                                off_frac, initial_frac, start_tick, max_ms):
+        golden, real = _supply_pair(
+            samples, capacitance, v_max, on_frac, off_frac,
+            v_max * initial_frac, start_tick,
+        )
+        assert _charge(PowerSupply.charge_until_on, real, max_ms) == _charge(
+            method_charge_until_on, golden, max_ms
+        )
+
+    @pytest.mark.parametrize("samples", [[], [0.0] * 7, [0.0, 1e-12, 0.0]])
+    def test_dead_trace_stops_at_the_same_tick(self, samples):
+        golden, real = _supply_pair(samples, 10e-6, 3.3, 0.9, 0.5, 0.0, 5)
+        got = _charge(PowerSupply.charge_until_on, real, 500)
+        assert got == _charge(method_charge_until_on, golden, 500)
+        assert got[0].startswith("exhausted: ")
+        assert got[1] == 5 + 501

@@ -194,6 +194,31 @@ class TestPrepare:
         assert stages == ["level-k"]
         assert built == [{"scale": "tiny"}]
 
+    def test_a_job_evaluates_no_ir(self, monkeypatch):
+        """The reference comes off the precise build's commit log, which
+        calibration records anyway, so a default-scale CNN job, preview
+        included, never runs the IR interpreter."""
+        from repro.compiler import ir
+        from repro.core import anytime
+        from repro.service import jobs
+
+        common._worker_workloads.clear()
+        common._worker_cache.clear()
+        common._worker_references.clear()
+        calls = []
+        real = ir.evaluate
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ir, "evaluate", counting)
+        monkeypatch.setattr(anytime, "evaluate", counting)
+        spec = dict(job(workload="CNN", mode="swp", bits=4), scale="default")
+        ctx = jobs.prepare(JobSpec.from_dict(spec))
+        jobs.compute(ctx, lambda *_args: None)
+        assert calls == []
+
     def test_precise_jobs_ignore_bits(self):
         ctx = prepare(JobSpec.from_dict(job(workload="MatMul", mode="precise", bits=8)))
         plain = prepare(JobSpec.from_dict(job(workload="MatMul", mode="precise", bits=None)))
