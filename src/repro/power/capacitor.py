@@ -8,7 +8,7 @@ standard hysteretic operation for intermittent platforms.
 
 from __future__ import annotations
 
-import math
+from math import sqrt
 
 
 class Capacitor:
@@ -36,7 +36,7 @@ class Capacitor:
     @property
     def voltage(self) -> float:
         """Present capacitor voltage implied by the stored energy."""
-        return math.sqrt(2.0 * self.energy / self.capacitance)
+        return sqrt(2.0 * self.energy / self.capacitance)
 
     def energy_at(self, voltage: float) -> float:
         """Stored energy (J) at a given voltage: ``C*V^2/2``."""
@@ -59,6 +59,28 @@ class Capacitor:
         if energy_j < 0:
             raise ValueError("harvested energy must be non-negative")
         self.energy = min(self._e_max, self.energy + energy_j)
+
+    def charge(self, powers, tick: int, end: int, seconds: float) -> int:
+        """Charge from tick ``tick`` until the voltage reaches ``v_on``,
+        but not past tick ``end``; returns the tick reached.
+
+        Each tick harvests ``powers[tick % len(powers)]`` W for
+        ``seconds``. This is :attr:`above_on_threshold`, then
+        :meth:`harvest`, per tick, with the same float operations in
+        the same order, in one local loop (the off phase of every
+        sample runs it)."""
+        energy = self.energy
+        e_max = self._e_max
+        capacitance = self.capacitance
+        v_on = self.v_on
+        count = len(powers)
+        while tick < end and not sqrt(2.0 * energy / capacitance) >= v_on:
+            energy += powers[tick % count] * seconds
+            if not energy < e_max:  # min(e_max, energy), as harvest()
+                energy = e_max
+            tick += 1
+        self.energy = energy
+        return tick
 
     def draw(self, energy_j: float) -> None:
         """Draw load energy (clamped at zero; the load browns out first)."""

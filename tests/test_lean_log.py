@@ -37,6 +37,8 @@ from repro.experiments.common import (
     calibrate_environment,
     measure_precise_cycles,
     run_benchmark_suite,
+    worker_build,
+    worker_reference,
 )
 from repro.sim import replay
 from repro.sim.batch_replay import BatchIndex
@@ -205,6 +207,15 @@ class TestCalibrationOnTheLog:
         assert workload.decode(entry.record.final_outputs) == (
             workload.decoded_reference()
         )
+
+    @pytest.mark.parametrize("name", ALL_BENCHMARKS)
+    def test_reference_off_the_log_at_paper_scale(self, name):
+        """``repro run --scale paper`` takes its reference off the log
+        too. A paper-scale record can outgrow the worker cache (Conv2d's
+        does), so this reads it through ``worker_build``."""
+        workload = make_workload(name, "paper")
+        assert worker_build(workload, "precise", recorded=True).record.replayable
+        assert worker_reference(workload) == workload.decoded_reference()
 
 
 class TestSparseImage:
