@@ -66,10 +66,15 @@ NN_GRID_RUNTIME = "progress"
 
 _MACHINE_LOOP_ITERS = 2_000_000
 
-#: Slices of the machine loop interleaved with one rep's timed fast-CPU
-#: runs: each run follows a slice, so a host that changes speed
-#: during the rep moves the rate and the score together.
+#: Slices of the machine loop interleaved with one rep's timed runs:
+#: each run follows a slice, so a host that changes speed during the
+#: rep moves the rate and the score together.
 _SCORE_SLICES = 8
+
+#: The least time one grid bench rep spends in replay passes, repeated
+#: between the machine loop's slices: a single default-scale pass takes
+#: 0.04-0.1 s, too short to follow the host.
+_REPLAY_REP_S = 0.5
 
 
 def _loop_seconds(start: int, stop: int) -> float:
@@ -82,32 +87,32 @@ def _loop_seconds(start: int, stop: int) -> float:
     return time.perf_counter() - begin
 
 
-def machine_score() -> float:
-    """Iterations/second of a fixed integer loop — the machine baseline."""
-    return _MACHINE_LOOP_ITERS / _loop_seconds(0, _MACHINE_LOOP_ITERS)
-
-
 def _run_seconds(kernel: AnytimeKernel, inputs, cpu_cls) -> Tuple[int, float]:
     """Instructions and seconds of one full run."""
-    cpu = kernel.make_cpu(inputs, cpu_cls=cpu_cls)
-    start = time.perf_counter()
-    cpu.run()
-    return cpu.stats.instructions, time.perf_counter() - start
+    with kernel.make_cpu(inputs, cpu_cls=cpu_cls) as cpu:
+        start = time.perf_counter()
+        cpu.run()
+        return cpu.stats.instructions, time.perf_counter() - start
 
 
-def _scored_rate(kernel: AnytimeKernel, inputs, cpu_cls) -> Tuple[float, float]:
-    """Instructions/second of ``_SCORE_SLICES`` full runs, and the
-    machine score of the whole machine loop, timed in slices between
-    them."""
+def _interleaved(work, min_seconds: float = 0.0) -> Tuple[float, float]:
+    """Rate of ``work``, which returns ``(count, seconds)``, and the
+    machine score of the whole machine loop, timed in ``_SCORE_SLICES``
+    slices. After each slice ``work`` runs once, then again until its
+    seconds reach that slice's share of ``min_seconds``."""
     step = _MACHINE_LOOP_ITERS // _SCORE_SLICES
     loop_s = run_s = 0.0
-    instructions = 0
+    total = 0
     for start in range(0, _MACHINE_LOOP_ITERS, step):
         loop_s += _loop_seconds(start, start + step)
-        count, seconds = _run_seconds(kernel, inputs, cpu_cls)
-        instructions += count
-        run_s += seconds
-    return instructions / run_s, _MACHINE_LOOP_ITERS / loop_s
+        due = run_s + min_seconds / _SCORE_SLICES
+        while True:
+            count, seconds = work()
+            total += count
+            run_s += seconds
+            if run_s >= due:
+                break
+    return total / run_s, _MACHINE_LOOP_ITERS / loop_s
 
 
 def run_bench(reps: int = 5, scale: str = "default") -> dict:
@@ -122,12 +127,13 @@ def run_bench(reps: int = 5, scale: str = "default") -> dict:
     for name, mode, bits in BENCH_CONFIGS:
         workload = worker_workload(name, scale)
         kernel = worker_build(workload, mode, bits).kernel
-        probe = kernel.make_cpu(workload.inputs)
-        probe.run()
-        instructions = probe.stats.instructions
+        with kernel.make_cpu(workload.inputs) as probe:
+            probe.run()
+            instructions = probe.stats.instructions
 
         scored = [
-            _scored_rate(kernel, workload.inputs, type(probe)) for _ in range(reps)
+            _interleaved(lambda: _run_seconds(kernel, workload.inputs, type(probe)))
+            for _ in range(reps)
         ]
         all_scores.extend(score for _rate, score in scored)
         fast = statistics.median(rate for rate, _score in scored)
@@ -380,7 +386,10 @@ def run_grid_bench(reps: int = 3, scale: str = "default") -> dict:
     ``record_s`` is a cold rebuild of every config's commit log, while
     the replay passes then run against *warm* records — one record pass
     serves the whole grid, and the replay passes never re-record
-    (regression-tested in ``tests/test_store.py``). The store phases
+    (regression-tested in ``tests/test_store.py``). Each replay rep
+    repeats the pass between slices of the machine loop for at least
+    ``_REPLAY_REP_S``, and ``normalized_replay`` is the median over reps
+    of the rep's rate over its own score. The store phases
     both use the replay engine: ``store_cold_s`` computes the grid into
     an empty store (wiped every rep), ``store_warm_s`` reruns it as pure
     cache hits; their ratio is ``store_speedup``. ``REPRO_STORE`` is set
@@ -404,7 +413,6 @@ def run_grid_bench(reps: int = 3, scale: str = "default") -> dict:
     )
     from .store.cas import STORE_ENV
 
-    score = machine_score()
     setup = ExperimentSetup(scale=scale)
 
     def grid(name: str, runtime: str):
@@ -454,11 +462,16 @@ def run_grid_bench(reps: int = 3, scale: str = "default") -> dict:
             build_records()
             record_times.append(time.perf_counter() - start)
 
-        replay_times: List[float] = []
-        for _ in range(reps):
+        replay_runs: list = []
+
+        def timed_replay_pass() -> Tuple[int, float]:
             start = time.perf_counter()
-            replay_runs = replay_pass()
-            replay_times.append(time.perf_counter() - start)
+            replay_runs[:] = replay_pass()
+            return samples, time.perf_counter() - start
+
+        replay_scored = [
+            _interleaved(timed_replay_pass, _REPLAY_REP_S) for _ in range(reps)
+        ]
 
         # Store phases: cold evaluates the grid into an empty store,
         # warm serves it back as pure hits. The last cold rep leaves the
@@ -509,7 +522,9 @@ def run_grid_bench(reps: int = 3, scale: str = "default") -> dict:
     )
     interp_s = statistics.median(interp_times)
     record_s = statistics.median(record_times)
-    replay_s = statistics.median(replay_times)
+    replay_s = samples / statistics.median(rate for rate, _ in replay_scored)
+    score = statistics.median(loop for _, loop in replay_scored)
+    normalized = statistics.median(rate / score for rate, score in replay_scored)
     store_cold_s = statistics.median(store_cold_times)
     store_warm_s = statistics.median(store_warm_times)
     return {
@@ -532,8 +547,9 @@ def run_grid_bench(reps: int = 3, scale: str = "default") -> dict:
             "store_cold_s": round(store_cold_s, 4),
             "store_warm_s": round(store_warm_s, 4),
             "store_speedup": round(store_cold_s / store_warm_s, 3),
-            # Machine-independent: samples/s per machine-loop op/s.
-            "normalized_replay": round(samples / replay_s / score, 9),
+            # Machine-independent: samples/s per machine-loop op/s,
+            # each rep's rate over the score timed between its passes.
+            "normalized_replay": round(normalized, 9),
         },
         "nn": {
             "workload": NN_GRID_WORKLOAD,

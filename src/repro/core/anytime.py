@@ -116,14 +116,14 @@ class AnytimeKernel:
 
     def run(self, inputs: Dict[str, Sequence[int]]) -> KernelRun:
         """Run to completion under continuous power."""
-        cpu = self.make_cpu(inputs)
-        cycles = cpu.run()
-        return KernelRun(
-            outputs=self.read_outputs(cpu),
-            cycles=cycles,
-            instructions=cpu.stats.instructions,
-            wn_fraction=cpu.stats.wn_fraction,
-        )
+        with self.make_cpu(inputs) as cpu:
+            cycles = cpu.run()
+            return KernelRun(
+                outputs=self.read_outputs(cpu),
+                cycles=cycles,
+                instructions=cpu.stats.instructions,
+                wn_fraction=cpu.stats.wn_fraction,
+            )
 
     def quality_curve(
         self,
@@ -150,13 +150,13 @@ class AnytimeKernel:
         total_cycles = self.run(inputs).cycles
         window = max(1, total_cycles // samples)
 
-        cpu = self.make_cpu(inputs)
         curve = QualityCurve(label=self.kernel.name)
         elapsed = 0
-        while not cpu.halted:
-            elapsed += cpu.run_cycles(window)
-            error = nrmse(ref_values, decode(self.read_outputs(cpu)))
-            curve.add(elapsed / baseline_cycles, error)
+        with self.make_cpu(inputs) as cpu:
+            while not cpu.halted:
+                elapsed += cpu.run_cycles(window)
+                error = nrmse(ref_values, decode(self.read_outputs(cpu)))
+                curve.add(elapsed / baseline_cycles, error)
         return curve
 
     def run_intermittent(
@@ -175,33 +175,35 @@ class AnytimeKernel:
 
         ``runtime`` names a row of :mod:`repro.runtime.table`."""
         row = runtime_row(runtime)
-        cpu = self.make_cpu(inputs, cpu_cls=cpu_cls)
-        supply = PowerSupply(
-            trace,
-            capacitor or Capacitor(),
-            energy_model or EnergyModel(),
-            start_tick=start_tick,
-        )
-        policy = row.live(self, None, watchdog_cycles)
-        executor = IntermittentExecutor(cpu, supply, policy)
-        result = executor.run(max_wall_ms=max_wall_ms)
-        if PROFILER.enabled:
-            # Per-PC retire counters survive the whole run (only a
-            # .stats read flushes them); fold them before anything does.
-            PROFILER.collect_cpu(
-                cpu, f"{self.compiled.program.name}/{runtime}"
+        # Released on every exit, the raising ones included, once the
+        # outputs and the profile are read (CPU.release).
+        with self.make_cpu(inputs, cpu_cls=cpu_cls) as cpu:
+            supply = PowerSupply(
+                trace,
+                capacitor or Capacitor(),
+                energy_model or EnergyModel(),
+                start_tick=start_tick,
             )
-        if TRACER.enabled and self.config.memoization:
-            # One aggregate event per sample: the memo table counts its
-            # own hits/misses in the multiply path, so the hot loop pays
-            # nothing extra for this.
-            table = cpu.multiplier.memo
-            if table is not None:
-                TRACER.emit(
-                    "memo_stats", hits=table.hits, misses=table.misses,
-                    hit_rate=round(table.hit_rate, 4),
+            policy = row.live(self, None, watchdog_cycles)
+            executor = IntermittentExecutor(cpu, supply, policy)
+            result = executor.run(max_wall_ms=max_wall_ms)
+            if PROFILER.enabled:
+                # Per-PC retire counters survive the whole run (only a
+                # .stats read flushes them); fold them before anything does.
+                PROFILER.collect_cpu(
+                    cpu, f"{self.compiled.program.name}/{runtime}"
                 )
-        return IntermittentRun(outputs=self.read_outputs(cpu), result=result)
+            if TRACER.enabled and self.config.memoization:
+                # One aggregate event per sample: the memo table counts its
+                # own hits/misses in the multiply path, so the hot loop pays
+                # nothing extra for this.
+                table = cpu.multiplier.memo
+                if table is not None:
+                    TRACER.emit(
+                        "memo_stats", hits=table.hits, misses=table.misses,
+                        hit_rate=round(table.hit_rate, 4),
+                    )
+            return IntermittentRun(outputs=self.read_outputs(cpu), result=result)
 
 
 def _flatten(outputs: Dict[str, List[int]]) -> List[float]:

@@ -90,7 +90,8 @@ def run_memo_sweep(
         cpu = kernel.make_cpu(workload.inputs)
         first: List[int] = []
         cpu.skim_hook = lambda target: first.append(cpu.stats.cycles) if not first else None
-        total = cpu.run()
+        with cpu:
+            total = cpu.run()
         hit_rate = cpu.multiplier.memo.hit_rate if cpu.multiplier.memo else 0.0
         points[entries] = (first[0] if first else total, hit_rate)
     return MemoSweepResult(points)

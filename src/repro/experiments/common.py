@@ -380,25 +380,30 @@ class SampleSpec:
     reference: Optional[Tuple[float, ...]] = None
 
 
-#: Byte budget of :data:`_worker_cache`. The working sets it must hold
-#: without evicting, in its own accounting (the mixed-open and grid-cli
-#: plans of bench/workloads.py, seed 41, run in one process):
-#: mixed-open reuses 9 default-scale records (MatMul, MLP and Home x
-#: precise/8-bit/4-bit), 6.9 MiB with their keyframe deltas and
-#: materialization state, plus 0.6 MiB of kernels and 56 trace sets
-#: of 3 x 3000 ms (3.9 MiB): 11.3 MiB in all. grid-cli's 12 records
-#: take 14.9 MiB (Conv2d swp-4 alone 4.7 MiB) and its kernels and
-#: trace sets 1.0 MiB: 15.9 MiB. 64 MiB holds either with room to
-#: spare, while a long run no longer keeps every record and trace set
-#: it ever built (cold-configs' 61 configurations held 574 MiB in one
-#: process without a bound).
-CACHE_BUDGET_BYTES = 64 << 20
+#: Byte budget of :data:`_worker_cache`. Each reuse path's working set
+#: in the cache's accounting, which tracemalloc confirms within 10%
+#: (every path in one process, nothing evicted, default scale):
+#:
+#: - bench's warm-hits plan (seed 41): 8.2 MiB;
+#: - bench's mixed-open plan (seed 41): 10.7 MiB;
+#: - bench's grid-cli plan (seed 41): 14.7 MiB;
+#: - ``run fig10`` and ``fig10-nn``, 3 traces x 1 invocation: 15.0 and
+#:   19.6 MiB; on the paper protocol (9 x 3): 15.2 and 20.0 MiB;
+#: - the four ``ablation-*`` runs, 3 x 1: at most 0.9 MiB.
+#:
+#: 32 MiB holds the largest, fig10-nn's, with 60% to spare, while a
+#: stream of configurations that no later job asks for (cold-configs,
+#: 78 MiB unbounded) keeps at most 32. A paper-scale record can exceed
+#: the budget by itself: MatMul precise and swp-8 take 19.6 and 39.5
+#: MiB, Conv2d swp-4 445 MiB. Such an entry is dropped as soon as it is
+#: accounted, evicting nothing else, and is re-recorded when asked for
+#: again (0.06-0.10 s for MatMul on the native recorder).
+CACHE_BUDGET_BYTES = 32 << 20
 
 #: Retained bytes of a compiled kernel per program instruction, with the
-#: decoded view its program caches after its first run:
-#: tracemalloc gave 485-645 B on MatMul, MLP, Home and Conv2d at default
-#: scale and on CNN tiny swp-1.
-_KERNEL_BYTES_PER_INSTRUCTION = 600
+#: decoded view its program caches after its first run: tracemalloc
+#: gave 377-501 B on the builds ``_HANDLER_BYTES`` was measured on.
+_KERNEL_BYTES_PER_INSTRUCTION = 450
 
 
 class _WorkerCache:
@@ -410,7 +415,9 @@ class _WorkerCache:
     (re-compile, re-record, re-synthesize from the seed), never a
     different result. The total is brought back under
     :data:`CACHE_BUDGET_BYTES` by evicting the least recently used
-    entries, possibly the one just added."""
+    entries. An entry that alone exceeds the budget is dropped by
+    itself, so it never flushes the rest; the caller that holds it
+    keeps it whole."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -439,7 +446,7 @@ class _WorkerCache:
             nbytes = value.nbytes()
             self._entries[key] = [value, nbytes]
             self.bytes += nbytes
-            self._evict()
+            self._evict(key)
             return value
 
     def reaccount(self, key: tuple) -> None:
@@ -452,9 +459,15 @@ class _WorkerCache:
             nbytes = entry[0].nbytes()
             self.bytes += nbytes - entry[1]
             entry[1] = nbytes
-            self._evict()
+            self._evict(key)
 
-    def _evict(self) -> None:
+    def _evict(self, key: tuple) -> None:
+        """Bring the total under the budget after ``key`` was added or
+        grew: drop ``key`` alone if it exceeds the budget by itself,
+        else the least recently used entries."""
+        if self._entries[key][1] > CACHE_BUDGET_BYTES:
+            self.bytes -= self._entries.pop(key)[1]
+            self.evictions += 1
         while self.bytes > CACHE_BUDGET_BYTES and self._entries:
             _key, (_value, nbytes) = self._entries.popitem(last=False)
             self.bytes -= nbytes
@@ -1190,5 +1203,6 @@ def first_skim_cycles(kernel: AnytimeKernel, inputs: Dict[str, List[int]]) -> Tu
             first.append(cpu.stats.cycles + 1)
 
     cpu.skim_hook = hook
-    total = cpu.run()
+    with cpu:
+        total = cpu.run()
     return (first[0] if first else total), total

@@ -62,7 +62,8 @@ def _first_skim_and_total(kernel, inputs) -> Tuple[int, int]:
     cpu = compiled.make_cpu(inputs, memory=default_memory())
     first: List[int] = []
     cpu.skim_hook = lambda target: first.append(cpu.stats.cycles) if not first else None
-    total = cpu.run()
+    with cpu:
+        total = cpu.run()
     return (first[0] if first else total), total
 
 

@@ -83,7 +83,8 @@ def run(setup: Optional[ExperimentSetup] = None) -> Fig13Result:
             cpu.skim_hook = lambda target, first=first, cpu=cpu: (
                 first.append(cpu.stats.cycles) if not first else None
             )
-            total = cpu.run()
+            with cpu:
+                total = cpu.run()
             cycles[(mode, bits, memoized)] = first[0] if first else total
             if memoized and cpu.multiplier.memo is not None:
                 hit_rates[(mode, bits)] = cpu.multiplier.memo.hit_rate

@@ -67,7 +67,8 @@ def run(setup: Optional[ExperimentSetup] = None,
                 cpu.halted = True
 
         cpu.skim_hook = cut_power
-        cpu.run()
+        with cpu:
+            cpu.run()
         first_cycles = first[0] if first else cpu.stats.cycles
         error = nrmse(reference, workload.decode(kernel.read_outputs(cpu)))
         rows.append(

@@ -56,7 +56,8 @@ def run(setup: Optional[ExperimentSetup] = None,
             cpu.halted = True
 
         cpu.skim_hook = cut_power
-        cpu.run()
+        with cpu:
+            cpu.run()
         decoded = workload.decode(kernel.read_outputs(cpu))
         outputs[bits] = decoded
         errors[bits] = nrmse(reference, decoded)

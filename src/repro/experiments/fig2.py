@@ -73,15 +73,15 @@ def run(setup: Optional[ExperimentSetup] = None, budget_fraction: float = 0.62,
     budget = int(full_run.cycles * budget_fraction)
 
     # (b) precise build, power cut at the budget.
-    cpu_b = precise.make_cpu(workload.inputs)
-    cpu_b.run_cycles(budget)
-    truncated = workload.decode(precise.read_outputs(cpu_b))
+    with precise.make_cpu(workload.inputs) as cpu_b:
+        cpu_b.run_cycles(budget)
+        truncated = workload.decode(precise.read_outputs(cpu_b))
 
     # (c) anytime build, same budget.
     anytime = build_anytime(workload, "swp", bits)
-    cpu_c = anytime.make_cpu(workload.inputs)
-    cpu_c.run_cycles(budget)
-    approx = workload.decode(anytime.read_outputs(cpu_c))
+    with anytime.make_cpu(workload.inputs) as cpu_c:
+        cpu_c.run_cycles(budget)
+        approx = workload.decode(anytime.read_outputs(cpu_c))
 
     return Fig2Result(
         width=width,

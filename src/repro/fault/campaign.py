@@ -242,6 +242,8 @@ def run_scenario(
                 )
             except ConsistencyViolation as exc:
                 _classify_violation(row, exc.invariant, str(exc))
+    controller.unwire()
+    cpu.release()
     row["output_checked"] = controller.output_checks
     row["injected"] = {
         "forced_outages": controller.forced_outages,

@@ -159,6 +159,16 @@ class ChaosController:
         self._wrap_skim()
         return self
 
+    def unwire(self) -> None:
+        """Remove what :meth:`wire` installed on the supply and the
+        runtime, once the scenario is read: the wrappers hold the
+        controller, the runtime and the CPU in reference cycles that
+        only the cyclic garbage collector would free."""
+        self.supply.outage_hook = None
+        for name in ("_take_checkpoint", "on_low_voltage", "on_restore"):
+            self.runtime.__dict__.pop(name, None)
+        self.runtime.skim.__dict__.pop("consume", None)
+
     def _wrap_commits(self) -> None:
         """Intercept checkpoint commits (Clank's ``_take_checkpoint`` or
         Hibernus's ``on_low_voltage``) for ordinals, torn injection and

@@ -81,17 +81,19 @@ def compute_golden(kernel, inputs: Dict[str, List[int]]) -> GoldenBundle:
     level = 0
     cycles = 0
     states: List[OutputState] = [(0, _freeze(kernel.read_outputs(cpu)))]
-    while not cpu.halted:
-        cycles += cpu.step()
-        if armed:
-            armed = False
-            level += 1
-            dirty = True
-        if dirty:
-            dirty = False
-            states.append((level, _freeze(kernel.read_outputs(cpu))))
+    with cpu:
+        while not cpu.halted:
+            cycles += cpu.step()
+            if armed:
+                armed = False
+                level += 1
+                dirty = True
+            if dirty:
+                dirty = False
+                states.append((level, _freeze(kernel.read_outputs(cpu))))
+        outputs = _freeze(kernel.read_outputs(cpu))
     return GoldenBundle(
-        outputs=_freeze(kernel.read_outputs(cpu)),
+        outputs=outputs,
         output_states=states,
         level_count=level,
         total_cycles=cycles,

@@ -101,23 +101,24 @@ def process_stream(
         done.add(index)
         next_unseen = max(next_unseen, index + 1)
 
-        cpu = make_cpu(index)
-        runtime = make_runtime()
-        executor = IntermittentExecutor(cpu, supply, runtime)
-        start_ms = supply.tick
-        result = executor.run(max_wall_ms=max_wall_ms_per_sample)
-        if not result.completed:
-            break  # supply can no longer finish a sample; stop the run
-        processed.append(
-            ProcessedSample(
-                index=index,
-                arrival_ms=arrivals[index],
-                start_ms=start_ms,
-                finish_ms=supply.tick,
-                skim_taken=result.skim_taken,
-                output=extract(cpu),
+        # Released when its sample ends (CPU.release).
+        with make_cpu(index) as cpu:
+            runtime = make_runtime()
+            executor = IntermittentExecutor(cpu, supply, runtime)
+            start_ms = supply.tick
+            result = executor.run(max_wall_ms=max_wall_ms_per_sample)
+            if not result.completed:
+                break  # supply can no longer finish a sample; stop the run
+            processed.append(
+                ProcessedSample(
+                    index=index,
+                    arrival_ms=arrivals[index],
+                    start_ms=start_ms,
+                    finish_ms=supply.tick,
+                    skim_taken=result.skim_taken,
+                    output=extract(cpu),
+                )
             )
-        )
 
     processed_set = {p.index for p in processed}
     missed = [i for i in range(len(arrivals)) if i not in processed_set]

@@ -46,10 +46,10 @@ from ..workloads.base import Workload
 from .protocol import JobSpec
 
 #: Bytes one memoized :class:`JobContext` retains in ``_worker_cache``,
-#: its cache entry included but not its workload, which every context
-#: of that workload and scale shares: tracemalloc gave 811 B per context
-#: over 200 distinct default-scale MatMul, Home and FC specs.
-_CONTEXT_BYTES = 800
+#: its spec and cache entry included but not its workload, which every
+#: context of that workload and scale shares: tracemalloc gave 952 B
+#: per context over 200 distinct default-scale MatMul, Home and FC specs.
+_CONTEXT_BYTES = 950
 
 
 @dataclass

@@ -58,8 +58,10 @@ from __future__ import annotations
 
 import asyncio
 import os
+import resource
 import signal
 import socket
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, List, Optional, Union
 
@@ -125,6 +127,13 @@ class _InflightJob:
         """Broadcast the terminal (``result``/``error``) event."""
         for queue in self.queues:
             queue.put_nowait(event)
+
+
+def _peak_rss_mb() -> float:
+    """This process's peak resident set in MiB: ``ru_maxrss`` is in
+    bytes on macOS and in KiB elsewhere."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return round(peak / (1 << 20 if sys.platform == "darwin" else 1 << 10), 1)
 
 
 class _EncodedHit(tuple):
@@ -197,9 +206,9 @@ class ExperimentService:
     # -- stats -------------------------------------------------------------
 
     def stats(self) -> dict:
-        """Scheduler counters, the store's entry/hit statistics and the
+        """Scheduler counters, the store's entry/hit statistics, the
         process's byte-budgeted cache (kernels, records, traces, job
-        contexts and store hits)."""
+        contexts and store hits) and its peak resident memory."""
         payload = {
             "protocol": PROTOCOL_VERSION,
             "inflight": len(self.inflight),
@@ -209,6 +218,7 @@ class ExperimentService:
         payload["store"] = self.store.stats() if self.store else None
         payload["journal"] = self.journal.stats() if self.journal else None
         payload["cache"] = _worker_cache.stats()
+        payload["memory"] = {"peak_rss_mb": _peak_rss_mb()}
         return payload
 
     # -- submission path ---------------------------------------------------

@@ -113,6 +113,30 @@ class CPU:
             self._taken_counts = [0] * len(self._instructions)
             self._handlers = bind_handlers(self)
 
+    # -- lifetime ---------------------------------------------------------------
+
+    def release(self) -> None:
+        """Drop the handler table and the hooks, once the owner is done
+        running this CPU; its memory, registers and statistics stay
+        readable.
+
+        Each handler holds its CPU as a keyword default and a runtime's
+        hooks hold the runtime, which holds the CPU, so an unreleased
+        CPU is cyclic garbage: it keeps its region buffers until a full
+        collection. A released one is freed as soon as its owner drops
+        it. It cannot run again. A CPU that binds no handlers
+        (``predecode`` False) only loses its hooks."""
+        self._handlers = ()
+        self.load_hook = None
+        self.store_hook = None
+        self.skim_hook = None
+
+    def __enter__(self) -> "CPU":
+        return self
+
+    def __exit__(self, *_exc) -> None:
+        self.release()
+
     # -- statistics ------------------------------------------------------------
 
     @property

@@ -94,18 +94,14 @@ _SCAN_BLOCK = 64 * SNAPSHOT_PAGE
 _BLOCK_ZEROS = bytes(_SCAN_BLOCK)
 _PAGE_ZEROS = bytes(SNAPSHOT_PAGE)
 
-#: Byte estimates for :meth:`ReplayRecord.nbytes`. Measured with
-#: tracemalloc on default-scale MatMul precise, Conv2d swp-4, MLP swp-4
-#: and CNN tiny swp-1: a materialization CPU, whose memory regions
-#: belong to the calling thread, takes 310-370 B per program
-#: instruction (decoded handlers and their state; 690-750 B while the
-#: handlers were closures). ``_HANDLER_BYTES`` keeps the 1200 B
-#: measured when the CPU also built fused dispatch blocks: it decides
-#: how many records fit the cache budget, and 750 B let the cache keep
-#: more of them (cold-configs peak RSS +8%). A page entry (of the page
-#: table or the initial image) and a keyframe delta's object and dict
-#: overhead are about 100 B each.
-_HANDLER_BYTES = 1200
+#: Byte estimates for :meth:`ReplayRecord.nbytes`, measured with
+#: tracemalloc. A materialization CPU, whose memory regions belong to
+#: the calling thread, takes 312-386 B per program instruction (its
+#: decoded handlers and their state) on default-scale MatMul, Conv2d,
+#: MLP, Home, FC, Var and NetMotion builds and on CNN tiny swp-1. A
+#: page entry (of the page table or the initial image) and a keyframe
+#: delta's object and dict overhead are about 100 B each.
+_HANDLER_BYTES = 340
 _PAGE_BYTES = 110
 _DELTA_BYTES = 100
 
@@ -676,6 +672,8 @@ def record_run_python(
         record.replayable = False
         record.reason = f"recording run faulted: {exc}"
         return record
+    finally:
+        cpu.release()
 
     record.length = pos
     record.final_outputs = kernel.read_outputs(cpu)

@@ -6,20 +6,30 @@ keeps keyframe memory as sparse page deltas over one initial image
 (``ReplayRecord.materialize_cpu``), and each paper trace is synthesized
 the first time its index is needed. Evicting an entry only costs a
 rebuild, so every check here compares against a run that never evicts,
-or against the full-image snapshot path the deltas replaced.
+or against the full-image snapshot path the deltas replaced. The
+cache's per-entry estimates are checked against tracemalloc, and every
+interpreter CPU must be freed as soon as its owner is done with it,
+without waiting for the cyclic garbage collector.
 """
 
+import gc
 import random
 import sys
+import tracemalloc
+import weakref
 from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro.core.anytime import AnytimeKernel
+from repro.errors import SampleTimeout
 from repro.experiments import common
 from repro.experiments.common import (
     ExperimentSetup,
+    _Compiled,
     _run_config_group,
+    _run_sample,
     _sample_specs,
     _sample_trace,
     _worker_cache,
@@ -27,11 +37,27 @@ from repro.experiments.common import (
     calibrate_environment,
     measure_precise_cycles,
     run_benchmark_suite,
+    worker_workload,
 )
+from repro.power.capacitor import Capacitor
+from repro.power.energy import EnergyModel
 from repro.power.harvester import paper_traces
+from repro.power.supply import PowerSupply, SupplyExhausted
+from repro.power.trace import PowerTrace
+from repro.runtime.table import RUNTIME_NAMES
 from repro.service import jobs
 from repro.service.protocol import JobSpec
-from repro.sim.replay import _FLAGS, SNAPSHOT_PAGE, record_run
+from repro.sim.cpu import CPU
+from repro.sim.decode import decode_program
+from repro.sim.reference import ReferenceCPU
+from repro.sim.replay import (
+    _FLAGS,
+    SNAPSHOT_PAGE,
+    _attach_thread_buffers,
+    _StagedCPU,
+    record_run,
+    record_run_python,
+)
 from repro.workloads import make_workload
 from tests.test_native_record import _program_kernel
 
@@ -268,3 +294,277 @@ class TestWorkerCache:
         assert stats["evictions"] > evictions
         assert max(counts) <= budget // set_bytes
         assert counts[-1] < 40
+
+
+class _Sized:
+    """A cache value of a settable size."""
+
+    def __init__(self, size):
+        self.size = size
+
+    def nbytes(self):
+        return self.size
+
+
+class TestOversizeEntries:
+    def test_oversize_entry_leaves_every_other_entry_resident(self, monkeypatch):
+        monkeypatch.setattr(common, "CACHE_BUDGET_BYTES", 1000)
+        small = [_Sized(300), _Sized(300)]
+        for index, value in enumerate(small):
+            _worker_cache.add(("small", index), value)
+        evictions = _worker_cache.stats()["evictions"]
+        big = _Sized(1001)
+        assert _worker_cache.add(("big",), big) is big
+        assert _worker_cache.keys() == [("small", 0), ("small", 1)]
+        stats = _worker_cache.stats()
+        assert (stats["bytes"], stats["evictions"]) == (600, evictions + 1)
+        # An entry that fits still evicts the least recently used.
+        _worker_cache.add(("mid",), _Sized(500))
+        assert _worker_cache.keys() == [("small", 1), ("mid",)]
+        # An entry that outgrows the budget is dropped alone.
+        small[1].size = 1500
+        _worker_cache.reaccount(("small", 1))
+        assert _worker_cache.keys() == [("mid",)]
+        assert _worker_cache.stats()["bytes"] == 500
+
+    def test_grid_cli_population_fits_the_budget(self, monkeypatch):
+        """One pass of the benchmark's grid-cli population (MatMul, MLP,
+        Home and Conv2d x every runtime x precise, 8-bit and 4-bit, on a
+        3 x 1 grid at default scale) evicts nothing and leaves the
+        budget a third free."""
+        _serial_replay(monkeypatch)
+        setup = ExperimentSetup(trace_count=3, invocations=1)
+        evictions = _worker_cache.stats()["evictions"]
+        for name in ("MatMul", "MLP", "Home", "Conv2d"):
+            workload = worker_workload(name, "default")
+            environment = calibrate_environment(
+                measure_precise_cycles(workload), setup
+            )
+            technique = workload.technique
+            configs = [("precise", None), (technique, 8), (technique, 4)]
+            for runtime in RUNTIME_NAMES:
+                run_benchmark_suite(workload, configs, runtime, setup, environment)
+        stats = _worker_cache.stats()
+        assert stats["evictions"] == evictions
+        assert stats["bytes"] * 1.5 <= stats["budget"]
+
+
+# -- the cache's accounting against tracemalloc ------------------------------
+
+
+def _traced_growth(work):
+    """Bytes that ``work()`` leaves allocated, by tracemalloc."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        work()
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+class TestAccounting:
+    """Each per-entry estimate is within 25% of what one default-scale
+    build retains."""
+
+    def test_kernel_bytes(self):
+        workload = worker_workload("MLP", "default")
+        built = []
+
+        def build():
+            kernel = build_anytime(workload, "swp", 4)
+            decode_program(kernel.compiled.program)
+            built.append(kernel)
+
+        traced = _traced_growth(build)
+        assert _Compiled(built[0]).nbytes() == pytest.approx(traced, rel=0.25)
+
+    def test_materialization_bytes(self):
+        workload = worker_workload("MLP", "default")
+        kernel = build_anytime(workload, "swp", 4)
+        record = record_run(kernel, workload.inputs)
+        # This thread's region buffers exist before the measurement.
+        with kernel.make_cpu(workload.inputs) as cpu:
+            _attach_thread_buffers(cpu.memory.regions)
+        del cpu
+        before = record.nbytes()
+        middle = record.length // 2
+        traced = _traced_growth(
+            lambda: record.materialize_cpu(kernel, workload.inputs, middle, middle)
+        )
+        assert record.nbytes() - before == pytest.approx(traced, rel=0.25)
+
+    def test_context_bytes(self, monkeypatch):
+        monkeypatch.delenv("REPRO_FAULTS", raising=False)
+
+        def spec(seed):
+            return JobSpec(workload="MatMul", mode="swp", bits=8, runtime="clank",
+                           scale="default", trace_seed=seed)
+
+        jobs.prepare(spec(1))  # the workload and its precise record
+        count = 100
+        traced = _traced_growth(
+            lambda: [jobs.prepare(spec(2 + index)) for index in range(count)]
+        )
+        per_context = jobs.prepare(spec(2)).nbytes()
+        assert per_context == pytest.approx(traced / count, rel=0.25)
+
+
+# -- interpreter CPUs are freed when their run ends --------------------------
+
+
+class _WeakCPU(CPU):
+    """The fast CPU, weakly referenceable (CPU's slots leave that out)."""
+
+    __slots__ = ("__weakref__",)
+
+
+@pytest.fixture
+def built_cpus(monkeypatch):
+    """Weak references to the CPUs ``AnytimeKernel.make_cpu`` builds,
+    with the cyclic garbage collector off: a CPU is dead only if its
+    owner released it."""
+    made = []
+    make_cpu = AnytimeKernel.make_cpu
+
+    def spy(self, inputs, cpu_cls=CPU):
+        cpu = make_cpu(self, inputs, cpu_cls=_WeakCPU if cpu_cls is CPU else cpu_cls)
+        made.append(weakref.ref(cpu))
+        return cpu
+
+    monkeypatch.setattr(AnytimeKernel, "make_cpu", spy)
+    monkeypatch.delenv("REPRO_FAULTS", raising=False)
+    gc.collect()
+    gc.disable()
+    try:
+        yield made
+    finally:
+        gc.enable()
+
+
+def _tiny_spec(runtime, mode="swp", bits=4):
+    setup = ExperimentSetup(scale="tiny", trace_count=2, invocations=1)
+    workload = worker_workload("MatMul", "tiny")
+    environment = calibrate_environment(measure_precise_cycles(workload), setup)
+    return _sample_specs(workload, mode, bits, runtime, setup, environment, None)[0]
+
+
+def _alive(made):
+    return [ref() is not None for ref in made]
+
+
+class TestCpuRelease:
+    @pytest.mark.parametrize("runtime", RUNTIME_NAMES)
+    def test_run_intermittent_frees_its_cpu(self, built_cpus, runtime):
+        """The service's preview and every demoted lane: one sample
+        through ``_run_sample``, with outages and a skim."""
+        spec = _tiny_spec(runtime)
+        built_cpus.clear()
+        run = _run_sample(spec)
+        assert run.outages > 0
+        assert len(built_cpus) == 1 and _alive(built_cpus) == [False]
+
+    def test_reference_cpu_run_is_freed(self, built_cpus):
+        spec = _tiny_spec("clank")
+        workload = worker_workload("MatMul", "tiny")
+        kernel = build_anytime(workload, "swp", 4)
+        built_cpus.clear()
+        kernel.run_intermittent(
+            workload.inputs, _sample_trace(spec), runtime="clank",
+            capacitor=Capacitor(capacitance_f=spec.capacitor_f, v_initial=3.0,
+                                v_max=3.3),
+            watchdog_cycles=spec.watchdog_cycles, cpu_cls=ReferenceCPU,
+        )
+        assert _alive(built_cpus) == [False]
+
+    def test_progress_stall_frees_its_cpu(self, built_cpus):
+        workload = worker_workload("MatMul", "tiny")
+        kernel = build_anytime(workload, "precise")
+        dead = PowerTrace([0.0] * 100, name="dead")
+        try:
+            kernel.run_intermittent(workload.inputs, dead,
+                                    capacitor=Capacitor(v_initial=0.0))
+        except SupplyExhausted:  # a ProgressStall
+            pass
+        else:
+            pytest.fail("an all-dead trace finished a run")
+        assert len(built_cpus) == 1 and _alive(built_cpus) == [False]
+
+    def test_sample_timeout_frees_its_cpu(self, built_cpus, monkeypatch):
+        spec = _tiny_spec("clank")
+        _run_sample(spec)  # builds outside the deadline
+        built_cpus.clear()
+        monkeypatch.setenv("REPRO_SAMPLE_TIMEOUT", "1e-9")
+        try:
+            _run_sample(spec)
+        except SampleTimeout:
+            pass
+        else:
+            pytest.fail("an expired deadline let the sample finish")
+        assert len(built_cpus) == 1 and _alive(built_cpus) == [False]
+
+    def test_continuous_runs_free_their_cpus(self, built_cpus):
+        from repro.benchmarking import _run_seconds
+        from repro.fault.oracle import compute_golden
+
+        workload = worker_workload("MatMul", "tiny")
+        kernel = build_anytime(workload, "swp", 4)
+        kernel.run(workload.inputs)
+        kernel.quality_curve(workload.inputs, samples=4)
+        common.first_skim_cycles(kernel, workload.inputs)
+        _run_seconds(kernel, workload.inputs, CPU)
+        compute_golden(kernel, workload.inputs)
+        record_run_python(kernel, workload.inputs)
+        assert len(built_cpus) == 8 and not any(_alive(built_cpus))
+
+    def test_chaos_scenario_frees_its_cpus(self, built_cpus):
+        from repro.fault.campaign import generate_scenarios, run_scenario
+
+        for scenario in generate_scenarios(5, 4, RUNTIME_NAMES, ("MatMul",)):
+            run_scenario(scenario)
+        assert built_cpus and not any(_alive(built_cpus))
+
+    def test_stream_frees_each_sample_cpu(self, built_cpus):
+        from repro.runtime.nvp import NVPRuntime
+        from repro.runtime.stream import process_stream
+
+        workload = worker_workload("MatMul", "tiny")
+        kernel = build_anytime(workload, "swp", 4)
+        supply = PowerSupply(
+            paper_traces(count=1, duration_ms=3000, base_seed=5)[0],
+            Capacitor(v_initial=3.0),
+            EnergyModel(),
+        )
+        stream = process_stream(
+            [0, 50, 100], supply, lambda _index: kernel.make_cpu(workload.inputs),
+            NVPRuntime, kernel.read_outputs,
+        )
+        assert stream.processed
+        assert len(built_cpus) >= len(stream.processed)
+        assert not any(_alive(built_cpus))
+
+    @pytest.mark.parametrize(
+        "experiment", ["fig2", "fig13", "fig15", "fig16", "ablation-memo"]
+    )
+    def test_figure_runs_free_their_cpus(self, built_cpus, experiment):
+        from repro.experiments import EXPERIMENTS
+
+        EXPERIMENTS[experiment](ExperimentSetup(scale="tiny"))
+        assert built_cpus and not any(_alive(built_cpus))
+
+    @pytest.mark.parametrize("cpu_cls", [CPU, ReferenceCPU, _StagedCPU])
+    def test_released_cpu_stays_readable(self, cpu_cls):
+        workload = make_workload("MatMul", "tiny")
+        kernel = build_anytime(workload, "precise")
+        cpu = kernel.make_cpu(workload.inputs, cpu_cls=cpu_cls)
+        if cpu_cls is not _StagedCPU:
+            cpu.run()
+        state = (kernel.read_outputs(cpu), cpu.pc, list(cpu.regs.regs),
+                 cpu.stats.cycles)
+        cpu.release()
+        cpu.release()
+        assert (kernel.read_outputs(cpu), cpu.pc, list(cpu.regs.regs),
+                cpu.stats.cycles) == state
+        assert cpu.load_hook is cpu.store_hook is cpu.skim_hook is None

@@ -17,6 +17,7 @@ import dataclasses
 import json
 import socket
 import threading
+import types
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -31,6 +32,7 @@ from repro.experiments.common import (
 )
 from repro.fault.service_chaos import _tamper_store_entry
 from repro.service import ExperimentService, JobSpec, ServiceClient, ServiceError
+from repro.service import server as server_module
 from repro.service.jobs import prepare
 from repro.service.journal import read_records
 from repro.service.protocol import decode_message, encode_message, tag_message
@@ -372,6 +374,28 @@ class TestMemoizedHits:
         assert hits[0]["runs"] == hits[1]["runs"] == first["runs"]
         assert stats["store"]["hits"] == 2
         assert stats["cache"]["bytes"] == 0
+
+
+class TestMemoryStats:
+    def test_stats_report_the_process_peak_rss(self, tmp_path):
+        before = server_module._peak_rss_mb()
+        with running_service(tmp_path, store=False) as svc, svc.client() as client:
+            memory = client.stats()["memory"]
+        assert set(memory) == {"peak_rss_mb"}
+        assert before <= memory["peak_rss_mb"] <= server_module._peak_rss_mb()
+
+    @pytest.mark.parametrize("platform, maxrss", [
+        ("linux", 100 << 10), ("darwin", 100 << 20),
+    ])
+    def test_peak_rss_reads_in_mib(self, monkeypatch, platform, maxrss):
+        """``ru_maxrss`` is in KiB on Linux and in bytes on macOS."""
+        monkeypatch.setattr(server_module.sys, "platform", platform)
+        monkeypatch.setattr(
+            server_module.resource, "getrusage",
+            lambda _who: types.SimpleNamespace(ru_maxrss=maxrss),
+        )
+        assert server_module._peak_rss_mb() == 100.0
+
 
 
 _JSON_SCALARS = (

@@ -12,14 +12,15 @@ slice twice, and asserts:
   grows by one per configuration, ``stats.store.hits`` does not move);
 * both match a direct in-process run of the same grid;
 * the server's stats agree (computed == configs, no errors), and its
-  kernel/record/trace cache holds no more bytes than its budget;
+  kernel/record/trace cache holds no more bytes than its budget and
+  evicted nothing;
 * after a forced SIGKILL + restart (same socket, store and journal),
   the *same client* reconnects and resubmits automatically, the answer
   is byte-identical, and the journal holds no pending accepts;
 * ``python -m repro store fsck`` reports the served store clean.
 
-Writes the server's final stats JSON, ``cache`` block included, to
-``--out`` for the CI artifact.
+Writes the server's final stats JSON, ``cache`` and ``memory`` blocks
+included, to ``--out`` for the CI artifact.
 Exits non-zero on any violation. Run from the repo root:
 
     PYTHONPATH=src python tools/service_smoke.py --out store_stats.json
@@ -171,6 +172,8 @@ def main() -> int:
             failures.append(f"unexpected store stats: {stats['store']}")
         if stats["cache"]["bytes"] > stats["cache"]["budget"]:
             failures.append(f"cache over its byte budget: {stats['cache']}")
+        if stats["cache"]["evictions"]:
+            failures.append(f"cache evicted part of the slice: {stats['cache']}")
 
         # The store the service just wrote must pass fsck clean.
         fsck = subprocess.run(
